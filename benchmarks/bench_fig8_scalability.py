@@ -3,9 +3,9 @@
 Also validates the SimDC closed-form round model against an actual
 event-driven round of the logical tier at a mid scale, so the sweep's
 numbers are anchored to the executable platform rather than free-floating
-constants — and measures the batched/sharded fast path against the legacy
-per-event execution at the paper's 100k-device scale
-(``test_fig8_batched_sharded_speedup``).
+constants — and measures the batched/sharded wave schedule against the
+per-device reference model (:mod:`repro.reference`) at the paper's
+100k-device scale (``test_fig8_batched_sharded_speedup``).
 """
 
 import time
@@ -29,6 +29,7 @@ from repro.data.avazu import DeviceDataset
 from repro.experiments import format_fig8, run_fig8_scalability
 from repro.ml import standard_fl_flow
 from repro.ml.fedavg import FedAvgPartial
+from repro.reference import ReferenceLogicalSimulation
 from repro.simkernel import RandomStreams, Simulator
 
 #: Numeric-sweep workload: small shards and a modest model keep the ML math
@@ -70,10 +71,10 @@ def event_driven_round_time(
 ) -> float:
     """One actual simulated round of the logical tier at ``n_devices``.
 
-    ``batch=False, n_shards=1`` (the default) is the legacy per-event
-    execution: every device advances through generator processes and two
-    heap events.  ``batch=True`` switches to batched kernel stepping plus
-    the pooled columnar round; ``n_shards > 1`` additionally partitions the
+    ``batch=False, n_shards=1`` (the default) is the per-device reference
+    model on the per-event kernel loop: every device advances through
+    generator processes and two heap events.  ``batch=True`` switches to
+    batched kernel stepping plus the pooled columnar round; ``n_shards > 1`` additionally partitions the
     plan over multiprocessing workers.  All configurations report the same
     simulated round time — the sharded path is bit-identical at
     ``n_shards=1`` and metric-identical beyond.
@@ -81,7 +82,7 @@ def event_driven_round_time(
     nodes = [NodeSpec(cpus=20, memory_gb=30)] * (total_cores // 20)
     cost = _sweep_cost_model(total_cores)
     if batch or n_shards > 1:
-        sharded = ShardedLogicalSimulation(nodes, cost, n_shards=n_shards, batch=True)
+        sharded = ShardedLogicalSimulation(nodes, cost, n_shards=n_shards)
         result = sharded.run_rounds(
             [_sweep_plan(n_devices, total_cores)],
             n_rounds=1,
@@ -89,12 +90,12 @@ def event_driven_round_time(
             collect_outcomes=False,
         )
         # The shard clock starts at 0, so the last completion time equals
-        # the legacy path's prepare + round elapsed measure.
+        # the reference model's prepare + round elapsed measure.
         return result.rounds[0].finished_at
 
     sim = Simulator()
     cluster = K8sCluster(nodes)
-    logical = LogicalSimulation(sim, cluster, cost, batch=False)
+    logical = ReferenceLogicalSimulation(sim, cluster, cost)
     plan = _sweep_plan(n_devices, total_cores)
 
     def run():
@@ -137,8 +138,8 @@ def _numeric_sweep_plan(n_devices: int, total_cores: int) -> GradeExecutionPlan:
 def numeric_round_result(n_devices: int, total_cores: int = 200, batch: bool = False) -> dict:
     """One actual *numeric* round: ML training executes inside the round.
 
-    ``batch=False`` is the legacy path — one generator per device, each
-    running its own per-device SGD.  ``batch=True`` drives the same plan
+    ``batch=False`` is the reference model — one generator per actor, each
+    device running its own per-device SGD.  ``batch=True`` drives the same plan
     through the wave schedule, training each wave as one stacked weight
     matrix.  Returns the simulated round time plus the FedAvg-aggregated
     global model, so callers can assert the fast path changed *nothing*
@@ -147,9 +148,8 @@ def numeric_round_result(n_devices: int, total_cores: int = 200, batch: bool = F
     nodes = [NodeSpec(cpus=20, memory_gb=30)] * (total_cores // 20)
     cost = _sweep_cost_model(total_cores)
     sim = Simulator()
-    logical = LogicalSimulation(
-        sim, K8sCluster(nodes), cost, streams=RandomStreams(0), batch=batch
-    )
+    tier = LogicalSimulation if batch else ReferenceLogicalSimulation
+    logical = tier(sim, K8sCluster(nodes), cost, streams=RandomStreams(0))
     plan = _numeric_sweep_plan(n_devices, total_cores)
 
     def run():
@@ -175,7 +175,7 @@ def numeric_round_result(n_devices: int, total_cores: int = 200, batch: bool = F
 def measure_numeric_sweep_speedup(
     n_devices: int, total_cores: int = 200, repeats: int = 2
 ) -> dict:
-    """Wall-clock comparison of legacy vs batched *numeric* rounds.
+    """Wall-clock comparison of reference (legacy) vs batched *numeric* rounds.
 
     Plain-function form so ``ci_gate.py`` can reuse it.  ``identical`` is
     true only when both paths report the same simulated round time AND
@@ -209,7 +209,7 @@ def measure_numeric_sweep_speedup(
 
 
 def measure_sweep_speedup(n_devices: int, total_cores: int = 200, repeats: int = 2) -> dict:
-    """Wall-clock comparison of the legacy vs batched/sharded sweep.
+    """Wall-clock comparison of the reference (legacy) vs batched/sharded sweep.
 
     Plain-function form so ``ci_gate.py`` can reuse it.  Returns wall times
     (best of ``repeats``), the simulated round times (for the identity

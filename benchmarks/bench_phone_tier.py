@@ -1,11 +1,12 @@
-"""Bench: the wave-scheduled physical tier vs the legacy generator path.
+"""Bench: the wave-scheduled physical tier vs the per-device reference model.
 
 Table-I / Fig-5 style runs put hundreds of emulated devices per round on
 the phone cluster; before the wave schedule every one of them cost a
 generator process plus three heap events (push, training signal, upload),
 and every benchmarking phone ran its own 1 Hz sampler process with five
 ADB string round-trips per sample.  This sweep measures emulated devices
-per round (500 -> 5k across 32-256 phones, legacy vs batched) with a pair
+per round (500 -> 5k across 32-256 phones, the reference model in
+:mod:`repro.reference` as "legacy" vs the wave schedule) with a pair
 of benchmarking phones polling throughout, and asserts the fast path
 changed *nothing* about the simulation: same makespan, same completion
 times, same benchmark sample series.
@@ -23,6 +24,7 @@ from repro.cluster.actor import DeviceAssignment
 from repro.experiments.render import format_table
 from repro.ml import standard_fl_flow
 from repro.phones import PhoneAssignment, PhoneMgr, SimulatedAdb, VirtualPhone, build_fleet
+from repro.reference import ReferencePhoneMgr
 from repro.simkernel import RandomStreams, Simulator
 
 #: Devices-per-round sweep (paper-style Table-I rounds scaled up).
@@ -33,7 +35,8 @@ N_BENCH = 2
 def phone_round_result(n_devices: int, n_phones: int, batch: bool, n_bench: int = N_BENCH) -> dict:
     """One actual simulated round of the physical tier at ``n_devices``.
 
-    ``batch=False`` is the legacy per-event execution; ``batch=True``
+    ``batch=False`` is the per-device reference model on the per-event
+    kernel loop; ``batch=True``
     drives the same plan through per-phone cumsum wave schedules, the
     shared sampler ticker and columnar outcome blocks.  Fleet construction
     and task preparation (identical in both modes, and paid once per task
@@ -51,7 +54,8 @@ def phone_round_result(n_devices: int, n_phones: int, batch: bool, n_bench: int 
         adb.register(phone)
         phones.append(phone)
     samples = []
-    mgr = PhoneMgr(sim, adb, phones, streams=streams, batch=batch, on_sample=samples.append)
+    tier = PhoneMgr if batch else ReferencePhoneMgr
+    mgr = tier(sim, adb, phones, streams=streams, on_sample=samples.append)
     plan = PhoneAssignment(
         grade="High",
         assignments=[DeviceAssignment(f"d{i:05d}", "High", 10 + (i % 7)) for i in range(n_devices)],

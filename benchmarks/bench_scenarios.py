@@ -6,7 +6,9 @@ tasks, KPI extraction — must ride the batched fast path.  This sweep
 builds a synthetic grid scenario (a dozen tenants, mixed arrival
 processes and dispatch strategies, a fault plan) and replays it at
 2k→20k total simulated devices (~24 task submissions, ~20 of them
-resident at once at the biggest point), batched vs. legacy.
+resident at once at the biggest point), batched vs. legacy — the
+per-device reference model of :mod:`repro.reference` run through
+:func:`~repro.reference.reference_tiers`.
 
 Unlike the tier benchmarks, the end-to-end scenario cost is dominated by
 work both paths share — per-outcome storage/message/aggregation Python,
@@ -15,11 +17,11 @@ hovers near 1.1x rather than the tiers' 5-10x and is *reported*, not
 gated.  ``measure_scenario_ci`` instead exposes what CI protects: total
 scenario throughput (simulated devices per wall second, calibrated
 against the runner's Python speed by ``ci_gate.py``) and the
-report-identity check — the scenario-level extension of the repo's
+report-identity checks — the scenario-level extension of the repo's
 differential-test pattern.
 """
 
-import json
+import hashlib
 import time
 
 from repro.observability.tracing import Tracer, assemble_trace
@@ -37,6 +39,7 @@ from repro.scenarios import (
     TransportSpec,
     run_scenario,
 )
+from repro.reference import reference_tiers
 
 try:
     from conftest import full_scale
@@ -147,27 +150,29 @@ def build_grid_scenario(
 
 
 def scenario_run(total_devices: int, batch: bool, n_tenants: int = CI_TENANTS) -> dict:
-    """Replay the grid scenario once; returns wall time and the report."""
+    """Replay the grid scenario once; returns wall time and the report.
+
+    ``batch=False`` replays it on the per-device reference model.
+    """
     spec = build_grid_scenario(n_tenants=n_tenants, total_devices=total_devices)
     wall_start = time.perf_counter()
-    report = run_scenario(spec, batch=batch)
+    if batch:
+        report = run_scenario(spec)
+    else:
+        with reference_tiers():
+            report = run_scenario(spec)
     wall = time.perf_counter() - wall_start
     return {"wall": wall, "report": report}
-
-
-def _comparable(report) -> str:
-    """Report JSON with the execution-mode tag stripped."""
-    data = report.to_dict()
-    data.pop("batch")
-    return json.dumps(data, sort_keys=True)
 
 
 def measure_scenario_speedup(total_devices: int, n_tenants: int = CI_TENANTS) -> dict:
     """Batched vs. legacy replay of the grid scenario.
 
     Returns the wall times, the speedup ratio, the simulated makespan,
-    the batched path's device throughput and ``identical`` — whether the
-    two paths produced byte-identical reports (modulo the mode tag).
+    the batched path's device throughput, ``identical`` — whether the
+    two paths produced byte-identical reports — and ``report_sha256``
+    of the batched report (``ci_gate.py`` compares it with the committed
+    ``golden_ci.json``).
     """
     legacy = scenario_run(total_devices, batch=False, n_tenants=n_tenants)
     batched = scenario_run(total_devices, batch=True, n_tenants=n_tenants)
@@ -181,7 +186,8 @@ def measure_scenario_speedup(total_devices: int, n_tenants: int = CI_TENANTS) ->
         "wall_batched_s": batched["wall"],
         "batched_speedup": legacy["wall"] / batched["wall"],
         "devices_per_sec": report.total_devices / batched["wall"],
-        "identical": _comparable(legacy["report"]) == _comparable(report),
+        "identical": legacy["report"].to_json() == report.to_json(),
+        "report_sha256": hashlib.sha256(report.to_json().encode()).hexdigest(),
     }
 
 
@@ -226,7 +232,7 @@ def measure_alarm_overhead(total_devices: int = 10_000, n_tenants: int = CI_TENA
             n_tenants=n_tenants, total_devices=total_devices, with_alarms=with_alarms
         )
         wall_start = time.perf_counter()
-        report = run_scenario(spec, batch=True)
+        report = run_scenario(spec)
         return time.perf_counter() - wall_start, report
 
     one_run(True)  # warmup: imports, allocator growth, cache fill
@@ -266,7 +272,7 @@ def measure_transport_overhead(
     alarm-overhead gate (see :func:`measure_alarm_overhead` for why).
     ``identical`` re-proves the lossless differential property at the
     gate's scale: the gated report must be byte-identical to the plain
-    one (modulo the mode tag).
+    one.
     """
 
     def one_run(with_transport: bool):
@@ -274,7 +280,7 @@ def measure_transport_overhead(
         if with_transport:
             spec.transport = TransportSpec(deadline_s=1e6)
         wall_start = time.perf_counter()
-        report = run_scenario(spec, batch=True)
+        report = run_scenario(spec)
         return time.perf_counter() - wall_start, report
 
     one_run(True)  # warmup: imports, allocator growth, cache fill
@@ -294,7 +300,7 @@ def measure_transport_overhead(
         "n_tenants": n_tenants,
         "total_devices": gated_report.total_devices,
         **best,
-        "identical": _comparable(plain_report) == _comparable(gated_report),
+        "identical": plain_report.to_json() == gated_report.to_json(),
     }
 
 
@@ -320,7 +326,7 @@ def measure_tracing_overhead(
     def one_run(traced: bool):
         spec = build_grid_scenario(n_tenants=n_tenants, total_devices=total_devices)
         tracer = Tracer() if traced else None
-        runner = ScenarioRunner(spec, batch=True, tracer=tracer)
+        runner = ScenarioRunner(spec, tracer=tracer)
         wall_start = time.perf_counter()
         report = runner.run()
         return time.perf_counter() - wall_start, report, runner
@@ -347,7 +353,7 @@ def measure_tracing_overhead(
         "total_devices": traced_report.total_devices,
         **best,
         "trace_spans": len(trace),
-        "identical": _comparable(plain_report) == _comparable(traced_report),
+        "identical": plain_report.to_json() == traced_report.to_json(),
     }
 
 
@@ -371,7 +377,7 @@ def measure_lossy_grid(total_devices: int = 10_000, n_tenants: int = CI_TENANTS)
         deadline_s=60.0,
     )
     wall_start = time.perf_counter()
-    report = run_scenario(spec, batch=True)
+    report = run_scenario(spec)
     wall = time.perf_counter() - wall_start
     kpis = list(report.tenants.values())
     retries = sum(k.transport_retries for k in kpis)

@@ -89,6 +89,9 @@ CI_PHONE_FLEET = 256
 CI_SCENARIO_SCALE = 10_000
 CI_CLOUD_SCALE = 12_000
 
+#: Committed digest of the CI grid scenario's report (see golden_ci.json).
+GOLDEN_PATH = BENCH_DIR / "golden_ci.json"
+
 
 def calibration_score(repeats: int = 3) -> float:
     """Operations/second of a fixed pure-Python loop on this machine."""
@@ -205,8 +208,15 @@ def main(argv: list[str] | None = None) -> int:
     if not results["phone_sweep"]["identical"]:
         print("FAIL: wave-scheduled phone tier changed the simulated results")
         return 1
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["grid_scenario"]
+    if (golden["total_devices"], golden["n_tenants"]) != (CI_SCENARIO_SCALE, CI_TENANTS):
+        print(f"FAIL: {GOLDEN_PATH.name} pins a different grid scenario than the CI point")
+        return 1
+    if results["scenario"]["report_sha256"] != golden["digest"]:
+        print(f"FAIL: batched scenario replay changed the simulated report (vs {GOLDEN_PATH.name})")
+        return 1
     if not results["scenario"]["identical"]:
-        print("FAIL: batched scenario replay changed the simulated report")
+        print("FAIL: batched scenario replay disagrees with the reference model")
         return 1
     if not results["cloud_ingest"]["identical"]:
         print("FAIL: columnar cloud ingestion changed the simulated cloud state")

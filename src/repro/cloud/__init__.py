@@ -21,7 +21,7 @@ from repro.cloud.aggregation import (
 )
 from repro.cloud.database import MetricsDatabase
 from repro.cloud.monitor import Monitor, MonitorEvent
-from repro.cloud.sink import CallbackSink, CloudIngestSink, OutcomeSink, coerce_sink
+from repro.cloud.sink import CallbackSink, CloudIngestSink, OutcomeSink, check_sink
 from repro.cloud.storage import ObjectStorage, StoredObject
 from repro.cloud.transport import (
     ChannelModel,
@@ -51,5 +51,5 @@ __all__ = [
     "TransportChannel",
     "TransportCounters",
     "UploadPlan",
-    "coerce_sink",
+    "check_sink",
 ]

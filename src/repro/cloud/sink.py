@@ -27,7 +27,6 @@ per-device (scalar)       per-round (columnar block)
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
@@ -40,7 +39,7 @@ from repro.deviceflow.messages import Message, MessageBlock
 from repro.simkernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    # Imported lazily: cluster.runner imports this module for coerce_sink,
+    # Imported lazily: cluster.runner imports this module for check_sink,
     # so a runtime import here would be circular.
     from repro.cluster.actor import DeviceRoundOutcome
     from repro.cluster.runner import ColumnarOutcomes
@@ -54,15 +53,15 @@ class OutcomeSink(Protocol):
     The tiers deliver through exactly one of two granularities:
 
     * :meth:`accept` — one :class:`DeviceRoundOutcome` at a time, fired
-      *as each device completes* (the generator path, benchmark phones,
-      and any batched plan whose sink asks for streaming).
+      *as each device completes* (benchmark phones, and every plan
+      whose sink asks for streaming).
     * :meth:`accept_block` — one :class:`ColumnarOutcomes` block per
-      batched plan, fired once at the block's last completion time.
+      plan, fired once at the block's last completion time.
 
     The optional class/instance attribute ``prefers_blocks`` (default
-    ``True`` when absent) tells a tier which granularity to use for
-    plans that support both; sinks that need per-device delivery (e.g.
-    anything feeding DeviceFlow mid-round) set it to ``False``.
+    ``True`` when absent) tells a tier which granularity to use; sinks
+    that need per-device delivery (e.g. anything feeding DeviceFlow
+    mid-round) set it to ``False``.
     """
 
     def accept(self, outcome: DeviceRoundOutcome) -> None:
@@ -75,12 +74,11 @@ class OutcomeSink(Protocol):
 
 
 class CallbackSink:
-    """Adapter wrapping a bare ``Callable[[DeviceRoundOutcome], None]``.
+    """Streaming adapter wrapping a ``Callable[[DeviceRoundOutcome], None]``.
 
-    This is the compatibility shim behind the deprecated ``on_outcome``
-    callable parameter of the tiers' ``run_round``: callbacks observe
-    devices one at a time, so the sink requests streaming delivery and
-    materializes any block it is handed.
+    Callbacks observe devices one at a time, so the sink requests
+    streaming delivery and materializes any block it is handed.  This is
+    how a plain function subscribes to a tier's ``run_round``.
     """
 
     prefers_blocks = False
@@ -98,29 +96,18 @@ class CallbackSink:
             self.callback(outcome)
 
 
-def coerce_sink(sink: OutcomeSink | Callable[[DeviceRoundOutcome], None] | None) -> OutcomeSink | None:
-    """Normalize a ``run_round`` sink argument to an :class:`OutcomeSink`.
+def check_sink(sink: OutcomeSink | None) -> None:
+    """Reject a ``run_round`` sink argument that is not an :class:`OutcomeSink`.
 
-    ``None`` passes through (the tiers then record columnar blocks with
-    no delivery at all).  A bare callable is deprecated: it is wrapped in
-    a :class:`CallbackSink` with a :class:`DeprecationWarning`.
+    ``None`` is allowed (the tiers then record columnar blocks with no
+    delivery at all); bare callables must be wrapped in
+    :class:`CallbackSink`.
     """
-    if sink is None:
-        return None
-    if isinstance(sink, OutcomeSink):
-        return sink
-    if callable(sink):
-        warnings.warn(
-            "passing a bare callable as on_outcome is deprecated; wrap it in "
-            "repro.cloud.CallbackSink (or implement the OutcomeSink protocol)",
-            DeprecationWarning,
-            stacklevel=3,
+    if sink is not None and not isinstance(sink, OutcomeSink):
+        raise TypeError(
+            "sink must implement OutcomeSink (accept/accept_block); wrap a bare "
+            f"callable in CallbackSink, got {type(sink).__name__}"
         )
-        return CallbackSink(sink)
-    raise TypeError(
-        f"sink must implement OutcomeSink (accept/accept_block) or be a "
-        f"callable, got {type(sink).__name__}"
-    )
 
 
 class _BlockUpdateView:
@@ -147,8 +134,8 @@ class _BlockUpdateView:
 class CloudIngestSink:
     """The production sink: storage + DeviceFlow/aggregation ingestion.
 
-    Scalar delivery (:meth:`accept`) reproduces the legacy per-outcome
-    hot loop exactly: one storage put (numeric runs), one
+    Scalar delivery (:meth:`accept`) ingests one outcome: one storage
+    put (numeric runs), one
     :class:`Message`, then either a DeviceFlow submission or a direct
     ``service.receive_message``.  Block delivery (:meth:`accept_block`)
     performs the same ingestion wholesale: one ``storage.put_block``
@@ -164,11 +151,9 @@ class CloudIngestSink:
     deviceflow:
         When set, scalar outcomes are submitted to DeviceFlow instead of
         delivered directly; traffic shaping samples per-device arrival
-        times mid-round, so a flow-connected sink always requests
-        streaming delivery (``prefers_blocks`` is forced ``False``).
-    prefer_blocks:
-        Ask batched plans for whole-round blocks (the default when no
-        DeviceFlow is attached).
+        times mid-round, so a flow-connected sink requests streaming
+        delivery (``prefers_blocks`` is ``False``).  Without DeviceFlow
+        the sink asks for whole-round blocks.
     dedup:
         Arm the idempotent-ingestion table: every ``(device, round)``
         upload folds exactly once, duplicated/retried deliveries are
@@ -187,7 +172,6 @@ class CloudIngestSink:
         storage: ObjectStorage,
         service: AggregationService,
         deviceflow: DeviceFlow | None = None,
-        prefer_blocks: bool = True,
         dedup: bool = False,
         tracer: Tracer | None = None,
         trace_devices: bool = True,
@@ -197,7 +181,7 @@ class CloudIngestSink:
         self.storage = storage
         self.service = service
         self.deviceflow = deviceflow
-        self.prefers_blocks = bool(prefer_blocks) and deviceflow is None
+        self.prefers_blocks = deviceflow is None
         self.dedup = bool(dedup)
         # ``trace_devices`` is False when a TransportChannel fronts this
         # sink — the channel records each device completion instead
@@ -299,7 +283,7 @@ class CloudIngestSink:
 
     # ------------------------------------------------------------------
     def accept(self, outcome: DeviceRoundOutcome) -> None:
-        """Per-device ingestion (the legacy ``_handle_outcome`` semantics)."""
+        """Per-device ingestion: one put, one message, one fold or submit."""
         if self._trace_devices:
             self.tracer.record_device(
                 self.task_id,

@@ -14,7 +14,7 @@ from collections.abc import Callable, Generator
 
 import numpy as np
 
-from repro.cloud.sink import OutcomeSink, coerce_sink
+from repro.cloud.sink import OutcomeSink, check_sink
 from repro.cluster.actor import DeviceAssignment, DeviceRoundOutcome, SimActor
 from repro.cluster.cluster import K8sCluster
 from repro.cluster.cost import LogicalCostModel
@@ -65,7 +65,7 @@ class GradeExecutionPlan:
         if self.n_actors <= 0:
             raise ValueError("n_actors must be positive")
         # One construction-time pass: validate grade homogeneity (the
-        # tentpole batched path relies on it to broadcast durations without
+        # wave schedule relies on it to broadcast durations without
         # touching assignment objects) and pre-sum staged bytes so sharded
         # workers never iterate the device list either.
         total_bytes = 0
@@ -94,7 +94,7 @@ def package_update(
     weights_row: np.ndarray,
     bias: float,
 ) -> ModelUpdate:
-    """Package one device's trained row exactly as the generator path does."""
+    """Package one device's trained row as a :class:`ModelUpdate`."""
     return ModelUpdate(
         device_id=assignment.device_id,
         round_index=round_index,
@@ -107,9 +107,9 @@ def package_update(
 
 @dataclass
 class ColumnarOutcomes:
-    """Outcomes of one batched plan stored as arrays, not objects.
+    """Outcomes of one plan's round stored as arrays, not objects.
 
-    The batched fast path records a whole plan's round as one block:
+    The wave schedule records a whole plan's round as one block:
     ``finished_at[pos]`` is the upload-completion time of the device
     ``plan.assignments[pos]`` (emission position equals assignment index
     under the wave-major round-robin layout).  Numeric plans additionally
@@ -180,10 +180,9 @@ class ColumnarOutcomes:
 class RoundResult:
     """Summary of one logical-tier round.
 
-    Outcomes live either in :attr:`outcomes` (eagerly built objects — the
-    generator path, or the batched path when a per-device callback was
-    requested) or in :attr:`columnar` blocks (the batched path without a
-    callback).  :meth:`all_outcomes` unifies the two.
+    Outcomes live either in :attr:`outcomes` (eagerly built objects, when
+    the sink asked for per-device streaming) or in :attr:`columnar`
+    blocks.  :meth:`all_outcomes` unifies the two.
     """
 
     round_index: int
@@ -284,13 +283,11 @@ class LogicalSimulation:
         cluster: K8sCluster,
         cost_model: LogicalCostModel | None = None,
         streams: RandomStreams | None = None,
-        batch: bool = True,
     ) -> None:
         self.sim = sim
         self.cluster = cluster
         self.cost_model = cost_model or LogicalCostModel()
         self.streams = streams or RandomStreams(0)
-        self.batch = batch
         self.plans: list[GradeExecutionPlan] = []
         self.actors: dict[str, list[SimActor]] = {}
         self.placement_group: PlacementGroup | None = None
@@ -328,8 +325,6 @@ class LogicalSimulation:
                     actor_id=f"{task_id}.{plan.grade}.{i}",
                     grade=plan.grade,
                     cost_model=self.cost_model,
-                    backend=plan.backend,
-                    streams=self.streams,
                 )
                 for i in range(plan.n_actors)
             ]
@@ -354,82 +349,48 @@ class LogicalSimulation:
         global_weights: np.ndarray | None,
         global_bias: float,
         model_bytes: int,
-        sink: OutcomeSink | Callable[[DeviceRoundOutcome], None] | None = None,
+        sink: OutcomeSink | None = None,
     ) -> Generator:
-        """Execute one round across every grade's actors; barrier at end.
+        """Execute one round across every grade's plans; barrier at end.
 
-        ``sink`` receives results through the
-        :class:`~repro.cloud.sink.OutcomeSink` protocol.  Delivery
-        granularity follows the sink's ``prefers_blocks`` attribute:
+        Every plan runs on the wave schedule
+        (:meth:`_register_batched_plan`).  ``sink`` receives results
+        through the :class:`~repro.cloud.sink.OutcomeSink` protocol, at
+        the granularity its ``prefers_blocks`` attribute asks for:
 
         * block-preferring sinks (the default, e.g.
           :class:`~repro.cloud.sink.CloudIngestSink` without DeviceFlow)
-          get one ``accept_block`` per batched plan at its last
-          completion time; generator-path plans still stream ``accept``
-          per device.
+          get one ``accept_block`` per plan at its last completion time;
         * streaming sinks (``prefers_blocks = False``, e.g.
           :class:`~repro.cloud.sink.CallbackSink`) get ``accept`` per
-          device *as results complete* — what feeds DeviceFlow mid-round.
+          device *as results complete* — what feeds DeviceFlow mid-round;
         * ``sink=None`` records columnar blocks with no delivery at all
           (the 100k-device sweeps: no per-device objects or events).
 
         The returned process resolves with a :class:`RoundResult` once
-        every device has finished.  Passing a bare callable is deprecated
-        (it is wrapped in a streaming :class:`CallbackSink` with a
-        ``DeprecationWarning``).
+        every device has finished.
         """
         if self.placement_group is None and self.plans:
             raise RuntimeError("call prepare() before run_round()")
-        sink = coerce_sink(sink)
+        check_sink(sink)
         stream = sink is not None and not getattr(sink, "prefers_blocks", True)
         result = RoundResult(round_index=round_index, started_at=self.sim.now)
 
         def collect(outcome: DeviceRoundOutcome) -> None:
             result.outcomes.append(outcome)
-            if sink is not None:
-                sink.accept(outcome)
+            sink.accept(outcome)
 
-        actor_processes = []
-        batched_plans: list[GradeExecutionPlan] = []
-        for plan in self.plans:
-            # Per-plan choice: time-only plans always qualify for the
-            # batched wave schedule; numeric plans qualify when every
-            # operator in their flow has a vectorized block implementation
-            # (custom operators without one fall back to the generator
-            # path, so mixed rounds batch exactly the plans they can).
-            if self.batch and (not plan.numeric or plan.flow.supports_block):
-                batched_plans.append(plan)
-                continue
-            queues = self._partition(plan.assignments, plan.n_actors)
-            for actor, queue in zip(self.actors[plan.grade], queues):
-                actor_processes.append(
-                    self.sim.process(
-                        actor.run_round(
-                            queue,
-                            round_index,
-                            plan.flow,
-                            global_weights,
-                            global_bias,
-                            plan.feature_dim,
-                            model_bytes,
-                            plan.numeric,
-                            collect,
-                        ),
-                        name=f"{actor.actor_id}.round{round_index}",
-                    )
-                )
-        barriers: list = list(actor_processes)
-        if batched_plans:
-            remaining = len(batched_plans)
-            batched_done = Signal(name=f"round{round_index}.batched-done")
+        if self.plans:
+            remaining = len(self.plans)
+            round_done = Signal(name=f"round{round_index}.done")
 
             def plan_done() -> None:
                 nonlocal remaining
                 remaining -= 1
                 if remaining == 0:
-                    batched_done.fire()
+                    round_done.fire()
 
-            for plan in batched_plans:
+            for plan in self.plans:
                 self._register_batched_plan(
                     plan,
                     round_index,
@@ -441,9 +402,7 @@ class LogicalSimulation:
                     None if stream else sink,
                     plan_done,
                 )
-            barriers.append(batched_done)
-        if barriers:
-            yield AllOf(barriers)
+            yield round_done
         result.finished_at = self.sim.now
         self.rounds.append(result)
         return result
@@ -461,9 +420,9 @@ class LogicalSimulation:
         n_actors]`` as one :class:`BlockOperatorContext` — a stacked
         ``(wave_size, feature_dim)`` weight matrix refined by the flow's
         vectorized operators.  Flow execution consumes no simulated time
-        (exactly like the generator path, where the math runs eagerly
-        between two timeouts), and each device draws from its own named
-        random stream, so wave grouping cannot perturb results.
+        (the math runs eagerly at registration), and each device draws
+        from its own named random stream, so wave grouping cannot perturb
+        results.
 
         Returns ``(update_weights, update_biases, payload_bytes)`` stacked
         over the whole plan in assignment order; the weight array is empty
@@ -530,19 +489,19 @@ class LogicalSimulation:
         actor advances through identical waves: the whole round reduces to
         ONE per-wave completion-time vector (the interleaved cumsum
         ``((now + model_dl) + duration) + transfer`` chain, bit-identical
-        to the generator path) broadcast over the actors active in each
-        wave.  Emission position maps to assignment index by identity —
+        to an actor stepping through its queue one timeout at a time)
+        broadcast over the actors active in each wave.  Emission position maps to assignment index by identity —
         wave ``w``, actor ``a`` holds ``assignments[w * n_actors + a]``
         under the round-robin partition.
 
         Numeric plans run their ML round here as well: client updates are
         evaluated in stacked per-wave blocks
         (:meth:`_execute_numeric_waves`) and the result-upload leg of the
-        cumsum uses the model-update payload, exactly as the generator
-        path pays ``transfer_duration(update.payload_bytes())`` per device.
+        cumsum uses the model-update payload
+        (``transfer_duration(update.payload_bytes())`` per device).
 
         With a ``collect`` callback the sequence drains wave by wave,
-        emitting outcomes in the generator path's order; without one the
+        emitting outcomes in completion order; without one the
         entire plan becomes a single pooled deadline at its last completion
         time plus a columnar block — no per-device objects, no per-device
         events, and (in sharded workers) no per-device Python at all beyond
@@ -554,8 +513,7 @@ class LogicalSimulation:
         if total == 0:
             plan_done()
             return
-        actors = self.actors[plan.grade]
-        n_actors = len(actors)
+        n_actors = len(self.actors[plan.grade])
         cost = self.cost_model
         duration = cost.device_round_duration(plan.grade, plan.flow.total_work)
         update_weights: np.ndarray | None = None
@@ -576,15 +534,11 @@ class LogicalSimulation:
         steps[2::2] = duration
         steps[3::2] = cost.transfer_duration(upload_bytes)  # per-device result upload
         wave_times = np.cumsum(steps)[3::2]
-        full_waves, remainder = divmod(total, n_actors)
+        remainder = total % n_actors
         counts = np.full(waves, n_actors, dtype=np.int64)
         if remainder:
             counts[-1] = remainder
         merged = np.repeat(wave_times, counts)
-
-        def count_completions() -> None:
-            for a, actor in enumerate(actors):
-                actor.devices_completed += full_waves + (1 if a < remainder else 0)
 
         if collect is None:
             def fire_all() -> None:
@@ -597,7 +551,6 @@ class LogicalSimulation:
                     update_biases=update_biases,
                 )
                 result.columnar.append(block)
-                count_completions()
                 if block_sink is not None:
                     block_sink.accept_block(block)
                 plan_done()
@@ -610,7 +563,6 @@ class LogicalSimulation:
         def fire(lo: int, hi: int, _t: float) -> None:
             for pos in range(lo, hi):
                 assignment = assignments[pos]
-                actors[pos % n_actors].devices_completed += 1
                 update = None
                 if update_weights is not None and update_biases is not None:
                     update = package_update(
@@ -638,16 +590,3 @@ class LogicalSimulation:
             self.cluster.release(self.placement_group)
             self.placement_group = None
         self.actors.clear()
-
-    @staticmethod
-    def _partition(assignments: list[DeviceAssignment], n_actors: int) -> list[list[DeviceAssignment]]:
-        """Deterministic round-robin split of devices across actors."""
-        queues: list[list[DeviceAssignment]] = [[] for _ in range(n_actors)]
-        for index, assignment in enumerate(assignments):
-            queues[index % n_actors].append(assignment)
-        return queues
-
-    @property
-    def total_devices_completed(self) -> int:
-        """Devices completed across all rounds so far."""
-        return sum(r.n_devices for r in self.rounds)

@@ -30,8 +30,8 @@ path as an unsharded :class:`LogicalSimulation`, producing bit-identical
 output; that is the fallback (and the reference for regression tests).
 Shard counts that divide the device and actor counts evenly are
 bit-identical to each other as well — wave schedules, completion times and
-global weights all match the generator path (enforced by
-``tests/test_numeric_equivalence.py``).
+global weights all match the per-device reference model in
+:mod:`repro.reference` (enforced by ``tests/test_numeric_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class _ShardPayload:
     cost_model: LogicalCostModel
     plans: list[GradeExecutionPlan]
     model_bytes: int
-    batch: bool
     collect_outcomes: bool
 
 
@@ -201,13 +200,12 @@ class _ShardSession:
             # streams are name-keyed, so identical seeds are what keeps a
             # device's randomness independent of the shard hosting it.
             streams=RandomStreams(payload.shard_seed),
-            batch=payload.batch,
         )
         self.sim.process(
             self.logical.prepare(payload.plans, task_id=payload.task_id),
             name=f"{payload.task_id}.prepare",
         )
-        self.sim.run(batch=payload.batch)
+        self.sim.run(batch=True)
         self.ready_at = self.sim.now
 
     def run_round(
@@ -224,14 +222,14 @@ class _ShardSession:
         unsharded tier would use and completion times stay bit-identical.
         """
         if barrier > self.sim.now:
-            self.sim.run(until=barrier, batch=self.payload.batch)
+            self.sim.run(until=barrier, batch=True)
         self.sim.process(
             self.logical.run_round(
                 round_index, global_weights, global_bias, self.payload.model_bytes, None
             ),
             name=f"{self.payload.task_id}.round{round_index}",
         )
-        self.sim.run(batch=self.payload.batch)
+        self.sim.run(batch=True)
         result = self.logical.rounds[-1]
         weights, biases, n_samples = result.fedavg_inputs()
         partial = FedAvgPartial.from_arrays(weights, biases, n_samples)
@@ -393,8 +391,6 @@ class ShardedLogicalSimulation:
         Master seed, shared by every shard (device-level random streams
         are name-keyed, so sharing the seed is what makes results
         independent of the shard layout).
-    batch:
-        Drain same-timestamp kernel events in batches inside each shard.
     """
 
     def __init__(
@@ -403,7 +399,6 @@ class ShardedLogicalSimulation:
         cost_model: LogicalCostModel | None = None,
         n_shards: int = 1,
         seed: int = 0,
-        batch: bool = True,
         task_id: str = "task",
     ) -> None:
         if n_shards <= 0:
@@ -412,7 +407,6 @@ class ShardedLogicalSimulation:
         self.cost_model = cost_model or LogicalCostModel()
         self.n_shards = n_shards
         self.seed = int(seed)
-        self.batch = batch
         self.task_id = task_id
 
     def _payloads(
@@ -438,7 +432,6 @@ class ShardedLogicalSimulation:
                     cost_model=self.cost_model,
                     plans=shard_plans[s],
                     model_bytes=model_bytes,
-                    batch=self.batch,
                     collect_outcomes=collect_outcomes,
                 )
             )

@@ -48,16 +48,13 @@ def run_table1_stage_metrics(
     n_devices_per_grade: int = 100,
     n_benchmark_per_grade: int = 5,
     seed: int = 0,
-    batch: bool = True,
 ) -> StageMetricsResult:
     """Run the Table-I task and average stage metrics across phones.
 
     ``n_devices_per_grade`` scales the surrounding computation (the paper
     uses 500); the benchmarking protocol itself is scale-independent.
-    ``batch=False`` drives the legacy per-device phone tier — same rows,
-    bit for bit (the phone-tier differential suite relies on this).
     """
-    config = PlatformConfig(seed=seed, cluster_nodes=[NodeSpec(20, 30)] * 10, batch=batch)
+    config = PlatformConfig(seed=seed, cluster_nodes=[NodeSpec(20, 30)] * 10)
     platform = SimDC(config)
     spec = TaskSpec(
         name="table1",

@@ -132,7 +132,7 @@ class BlockTrainer:
         weights: np.ndarray,
         biases: np.ndarray,
         datasets: Sequence[DeviceDataset],
-        rngs: Sequence[Optional[np.random.Generator]] | None = None,
+        rngs: Sequence[np.random.Generator | None] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Refine per-device parameters in place of the per-device loop.
 
@@ -170,7 +170,7 @@ class BlockTrainer:
         global_weights: np.ndarray,
         global_bias: float,
         datasets: Sequence[DeviceDataset],
-        rngs: Sequence[Optional[np.random.Generator]] | None = None,
+        rngs: Sequence[np.random.Generator | None] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Broadcast one global model over the block, then :meth:`train`."""
         global_weights = np.asarray(global_weights, dtype=np.float64)

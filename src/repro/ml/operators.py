@@ -85,7 +85,7 @@ class BlockOperatorContext:
     global_weights: np.ndarray | None = None
     global_bias: float = 0.0
     round_index: int = 1
-    rngs: list[Optional[np.random.Generator]] | None = None
+    rngs: list[np.random.Generator | None] | None = None
     outputs: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -103,8 +103,8 @@ class Operator:
     1.0 ~ one local training epoch over an average shard) and implement
     :meth:`apply`.  Operators that can also execute a whole wave of devices
     against stacked arrays additionally implement :meth:`apply_block` and
-    set :attr:`supports_block`; flows whose operators all do so qualify for
-    the logical tier's vectorized numeric fast path.
+    set :attr:`supports_block`; flows whose operators all do so run
+    vectorized, any other flow runs :meth:`apply` once per block row.
     """
 
     name: str = "operator"
@@ -312,16 +312,32 @@ class OperatorFlow:
     def execute_block(self, block: BlockOperatorContext) -> BlockOperatorContext:
         """Run every operator in order against a stacked device block.
 
-        Raises ``RuntimeError`` when an operator lacks a block
-        implementation — callers gate on :attr:`supports_block` and fall
-        back to per-device :meth:`execute` otherwise.
+        A flow with an operator lacking a block implementation runs the
+        whole flow once per row instead, each row with its own
+        :class:`OperatorContext` and ``block.rngs[i]``; the rows'
+        ``outputs["update"]`` are stacked into ``update_weights`` /
+        ``update_biases``.
         """
-        for op in self.operators:
-            if not op.supports_block:
-                raise RuntimeError(
-                    f"operator {op.name!r} does not support block execution"
-                )
-            op.apply_block(block)
+        if self.supports_block:
+            for op in self.operators:
+                op.apply_block(block)
+            return block
+        updates = []
+        rngs = block.rngs if block.rngs is not None else [None] * len(block)
+        for device_id, dataset, rng in zip(block.device_ids, block.datasets, rngs):
+            context = OperatorContext(
+                device_id, block.grade, dataset, block.feature_dim, block.backend,
+                block.global_weights, block.global_bias, block.round_index, rng,
+            )
+            for op in self.operators:
+                op.apply(context)
+            updates.append(context.outputs.get("update"))
+        uploaded = [u for u in updates if u is not None]
+        if uploaded:
+            if len(uploaded) != len(updates):
+                raise RuntimeError("flow uploaded an update for some devices of a block but not all")
+            block.outputs["update_weights"] = np.stack([u.weights for u in uploaded]).astype(np.float64)
+            block.outputs["update_biases"] = np.array([u.bias for u in uploaded], dtype=np.float64)
         return block
 
     def describe(self) -> list[str]:

@@ -12,8 +12,8 @@ rather than inside the monitor callback that observed the alarm: the
 alarm may fire mid-scheduling-pass, and mutating the cluster under a
 scheduler decision that was planned against the previous capacity
 snapshot would corrupt the pass.  Deferred actions preserve determinism —
-same-timestamp events fire in scheduling order on both the batched and
-legacy loops — and keep the whole loop replayable.
+same-timestamp events fire in scheduling order — and keep the whole loop
+replayable.
 """
 
 from __future__ import annotations

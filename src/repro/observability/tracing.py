@@ -20,8 +20,7 @@ This module assembles that journey as a span tree per task:
 
 Spans live entirely on the *simulated* clock and every span id is a
 deterministic function of ``(task, round, device, kind)``, so two runs
-of the same spec and seed — batched or legacy — produce byte-identical
-traces.  Recording is two-phase to keep the simulation hot path clean:
+of the same spec and seed produce byte-identical traces.  Recording is two-phase to keep the simulation hot path clean:
 
 * :class:`Tracer` — append-only capture.  Instrumentation points in the
   task runner, transport channel, ingestion sink, DeviceFlow and the
@@ -39,8 +38,8 @@ traces.  Recording is two-phase to keep the simulation hot path clean:
 Wave spans are *derived*, not recorded: a wave is the set of a round's
 devices sharing ``(grade, finished_at)``, which is identical whether
 the run computed those times via the wave-scheduled cumsum or the
-per-device generator chain — so batched and legacy span trees agree by
-construction.
+per-device reference model (:mod:`repro.reference`) — so their span
+trees agree by construction.
 """
 
 from __future__ import annotations
@@ -444,8 +443,8 @@ def assemble_trace(
 
     # -- waves (derived) and device spans -------------------------------
     # A wave is a round's devices sharing (grade, finished_at): equal in
-    # the batched cumsum and the legacy generator chain by the platform's
-    # bit-identity contract, so both paths derive the same wave spans.
+    # the wave cumsum and the reference model's per-device chain by the
+    # platform's bit-identity contract, so both derive the same waves.
     by_round: dict[tuple[str, int], list[tuple]] = defaultdict(list)
     for record in devices:
         by_round[(record[0], record[3])].append(record)

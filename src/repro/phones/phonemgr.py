@@ -8,27 +8,26 @@ Devices* (running the five-stage measured protocol of Table I), polls the
 latter "at a certain frequency, organizes [the data] in real-time, and
 uploads it to the cloud database".
 
-Execution strategy (mirroring the logical tier's batched substrate):
+Execution strategy (mirroring the logical tier's wave schedule):
 
-* **Wave-scheduled computing phones** — by default (``batch=True``) a
-  plan's emulation queues are laid out columnar: per-phone push / training
-  / upload legs become one interleaved cumsum per phone, registered as
-  ascending sequences in a :class:`~repro.simkernel.TimeoutPool` instead of
-  one generator plus three heap events per emulated device.  Numeric flows
-  execute as ONE stacked block across every device queued on the plan's
-  phones (:meth:`~repro.ml.operators.OperatorFlow.execute_block`), and
+* **Wave-scheduled computing phones** — a plan's emulation queues are
+  laid out columnar: per-phone push / training / upload legs become one
+  interleaved cumsum per phone, registered as ascending sequences in a
+  :class:`~repro.simkernel.TimeoutPool`.  Numeric flows execute as ONE
+  block across every device queued on the plan's phones
+  (:meth:`~repro.ml.operators.OperatorFlow.execute_block`), and
   phone-side state (battery accounts, WLAN counters, session counts) is
   replayed from the precomputed wave times
   (:meth:`~repro.phones.phone.VirtualPhone.replay_training_sessions`).
-  Outcomes, finish times and phone state are bit-identical to the
-  generator path (``tests/test_phone_tier_equivalence.py``).
-* **Shared benchmark sampler ticker** — the per-phone 1 Hz polling
-  processes collapse into one recurring pooled tick per PhoneMgr that
-  samples every active benchmarking phone, with timestamps and sample
-  contents (including tie-breaking against stage boundaries) identical to
-  the per-phone loops; samples read the virtual sensors directly
-  (:func:`~repro.phones.metrics.direct_metric_sample`) instead of
-  round-tripping ADB strings.
+* **Shared benchmark sampler ticker** — one recurring pooled tick per
+  PhoneMgr samples every active benchmarking phone, reading the virtual
+  sensors directly (:func:`~repro.phones.metrics.direct_metric_sample`)
+  instead of round-tripping ADB strings.
+
+Outcomes, finish times, samples and phone state are bit-identical to the
+per-device reference model in :mod:`repro.reference` (one generator per
+phone, one sampler process per benchmarking phone, raw ADB commands),
+which the differential tests use as the oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cloud.sink import OutcomeSink, coerce_sink
+from repro.cloud.sink import OutcomeSink, check_sink
 from repro.cluster.actor import DeviceAssignment, DeviceRoundOutcome
 from repro.cluster.runner import ColumnarOutcomes, RoundResult, package_update
 from repro.ml.backends import DEVICE_BACKEND, NumericBackend
@@ -55,8 +54,6 @@ from repro.phones.metrics import (
     StageSummary,
     direct_metric_sample,
     integrate_energy_mah,
-    parse_metric_sample,
-    parse_pgrep_pid,
 )
 from repro.phones.phone import VirtualPhone
 from repro.simkernel import AllOf, RandomStreams, RecurringTimeout, Signal, Simulator, Timeout, TimeoutPool
@@ -182,11 +179,6 @@ class PhoneMgr:
     on_sample:
         Optional hook invoked per collected sample — the platform wires
         this to the cloud metrics database upload.
-    batch:
-        Use the wave-scheduled fast path (columnar emulation queues, the
-        shared sampler ticker and direct sensor sampling).  ``False``
-        restores the per-device generator processes; both modes produce
-        bit-identical simulations.
     """
 
     def __init__(
@@ -200,7 +192,6 @@ class PhoneMgr:
         poll_interval: float = 1.0,
         on_sample: Callable[[DeviceMetricSample], None] | None = None,
         busy_registry: set[str] | None = None,
-        batch: bool = True,
         tracer: Tracer | None = None,
     ) -> None:
         if poll_interval <= 0:
@@ -213,7 +204,6 @@ class PhoneMgr:
         self.streams = streams or RandomStreams(0)
         self.poll_interval = float(poll_interval)
         self.on_sample = on_sample
-        self.batch = batch
         self.tracer = tracer
         self._task_id = "task"
         self.plans: list[PhoneAssignment] = []
@@ -335,7 +325,7 @@ class PhoneMgr:
         global_weights: np.ndarray | None,
         global_bias: float,
         model_bytes: int,
-        sink: OutcomeSink | Callable[[DeviceRoundOutcome], None] | None = None,
+        sink: OutcomeSink | None = None,
     ) -> Generator:
         """Execute one round on computing + benchmarking phones.
 
@@ -343,16 +333,14 @@ class PhoneMgr:
         protocol exactly as on the logical tier: streaming sinks
         (``prefers_blocks = False``) get ``accept`` per device as results
         complete, block-preferring sinks get one ``accept_block`` per
-        batched computing plan at its last completion time, and ``None``
-        records columnar blocks with no delivery (the large phone-tier
-        sweeps).  Benchmarking phones always stream ``accept`` — their
-        five-stage protocol emits mid-round regardless of sink kind.
-        The returned process resolves with a
-        :class:`~repro.cluster.runner.RoundResult`.  A bare callable is
-        deprecated (wrapped in a streaming ``CallbackSink`` with a
-        ``DeprecationWarning``).
+        computing plan at its last completion time, and ``None`` records
+        columnar blocks with no delivery (the large phone-tier sweeps).
+        Benchmarking phones always stream ``accept`` — their five-stage
+        protocol emits mid-round regardless of sink kind.  The returned
+        process resolves with a
+        :class:`~repro.cluster.runner.RoundResult`.
         """
-        sink = coerce_sink(sink)
+        check_sink(sink)
         stream = sink is not None and not getattr(sink, "prefers_blocks", True)
         result = RoundResult(round_index=round_index, started_at=self.sim.now)
         epoch = self._epoch
@@ -362,28 +350,10 @@ class PhoneMgr:
             if sink is not None:
                 sink.accept(outcome)
 
-        processes = []
-        batched_plans: list[PhoneAssignment] = []
+        barriers: list = []
         for plan in self.plans:
-            # Per-plan choice mirroring the logical tier: time-only plans
-            # always batch; numeric plans batch when every operator has a
-            # vectorized block implementation, else they keep the
-            # per-device generator path.
-            if self.batch and (not plan.numeric or plan.flow.supports_block):
-                batched_plans.append(plan)
-            else:
-                queues = self._partition(plan.assignments, max(1, plan.n_phones))
-                for phone, queue in zip(self.computing_phones[plan.grade], queues):
-                    processes.append(
-                        self.sim.process(
-                            self._run_computing_phone(
-                                phone, queue, round_index, plan, global_weights, global_bias, model_bytes, collect
-                            ),
-                            name=f"{phone.serial}.round{round_index}",
-                        )
-                    )
             for phone, assignment in zip(self.benchmark_phones[plan.grade], plan.benchmarking):
-                processes.append(
+                barriers.append(
                     self.sim.process(
                         self._run_benchmark_phone(
                             phone, assignment, round_index, plan, global_weights, global_bias, model_bytes, collect
@@ -391,21 +361,20 @@ class PhoneMgr:
                         name=f"{phone.serial}.bench{round_index}",
                     )
                 )
-        barriers: list = list(processes)
-        if batched_plans:
-            remaining = len(batched_plans)
-            batched_done = Signal(name=f"phones.round{round_index}.batched-done")
-            self._round_barriers.append(batched_done)
+        if self.plans:
+            remaining = len(self.plans)
+            computing_done = Signal(name=f"phones.round{round_index}.computing-done")
+            self._round_barriers.append(computing_done)
 
             def plan_done() -> None:
                 nonlocal remaining
                 remaining -= 1
                 if remaining == 0:
-                    if batched_done in self._round_barriers:
-                        self._round_barriers.remove(batched_done)
-                    batched_done.fire()
+                    if computing_done in self._round_barriers:
+                        self._round_barriers.remove(computing_done)
+                    computing_done.fire()
 
-            for plan in batched_plans:
+            for plan in self.plans:
                 self._register_batched_plan(
                     plan,
                     round_index,
@@ -417,7 +386,7 @@ class PhoneMgr:
                     None if stream else sink,
                     plan_done,
                 )
-            barriers.append(batched_done)
+            barriers.append(computing_done)
         if barriers:
             yield AllOf(barriers)
         result.finished_at = self.sim.now
@@ -474,7 +443,7 @@ class PhoneMgr:
         self.benchmark_phones.clear()
 
     # ------------------------------------------------------------------
-    # wave-scheduled computing phones (the batched fast path)
+    # wave-scheduled computing phones
     # ------------------------------------------------------------------
     def _execute_numeric_block(
         self,
@@ -489,11 +458,11 @@ class PhoneMgr:
         round's global model, so the whole plan evaluates as a single
         :class:`BlockOperatorContext` — one stacked weight matrix refined
         by the flow's vectorized operators.  Flow execution consumes no
-        simulated time (exactly like the generator path, where the math
-        runs eagerly between two waits), and each device draws from its own
-        named random stream (``phone-exec.{device_id}``, the same cached
-        generator the per-device path consumes round after round), so block
-        grouping cannot perturb results.
+        simulated time (the math runs eagerly at registration), and each
+        device draws from its own named random stream
+        (``phone-exec.{device_id}``, one cached generator per device
+        consumed round after round), so block grouping cannot perturb
+        results.
 
         Returns ``(update_weights, update_biases, payload_bytes)`` in
         assignment order; the weight array is empty when the flow produces
@@ -540,8 +509,8 @@ class PhoneMgr:
         Each computing phone's queue (round-robin: wave ``w`` on phone
         ``p`` holds ``assignments[w * n_phones + p]``) reduces to one
         interleaved cumsum ``((now + push) + training) + upload`` — the
-        exact float-add chain the generator path's ``now + delay``
-        scheduling produces, so finish times are bit-identical.  Pushes
+        exact float-add chain of a phone stepping through its queue with
+        ``now + delay`` timeouts, so finish times are bit-identical.  Pushes
         vary per device (dataset size), so the chain is per phone rather
         than per plan; phone state (battery, WLAN counters, session
         counts) is replayed from the same precomputed times once the
@@ -549,7 +518,7 @@ class PhoneMgr:
 
         With a ``collect`` callback each phone's sequence drains wave by
         wave through the pool (chronological across phones; ties fire in
-        phone order, matching the lock-step generator interleave of the
+        phone order, matching a lock-step per-phone interleave on the
         homogeneous default fleets).  Without one, the entire plan becomes
         a single pooled deadline at its last completion time plus a
         columnar block — no per-device events or objects at all; a
@@ -669,50 +638,6 @@ class PhoneMgr:
             self._pool.add_sequence(finished[p::n_phones], make_fire(p, phone, starts, count))
 
     # ------------------------------------------------------------------
-    # legacy per-device generator path
-    # ------------------------------------------------------------------
-    def _run_computing_phone(
-        self,
-        phone: VirtualPhone,
-        queue: list[DeviceAssignment],
-        round_index: int,
-        plan: PhoneAssignment,
-        global_weights: np.ndarray | None,
-        global_bias: float,
-        model_bytes: int,
-        on_outcome: Callable[[DeviceRoundOutcome], None],
-    ) -> Generator:
-        """Sequentially emulate the queued devices on one phone."""
-        for assignment in queue:
-            # `is not None`, not truthiness: a zero-record dataset must
-            # stage its (zero) real bytes on both execution paths alike.
-            data_bytes = (
-                assignment.dataset.nbytes() if assignment.dataset is not None else 64 * assignment.n_samples
-            )
-            yield Timeout(self.adb.push_duration(phone.serial, data_bytes + model_bytes))
-            duration = self.cost_model.training_duration(plan.grade, plan.flow.total_work)
-            update = None
-            payload = model_bytes
-            if plan.numeric:
-                update = self._execute_flow(assignment, round_index, plan, global_weights, global_bias)
-                if update is not None:
-                    payload = update.payload_bytes()
-            done = phone.start_training(duration, upload_bytes=payload)
-            yield done
-            yield Timeout(payload / phone.spec.network_bandwidth_bps)
-            on_outcome(
-                DeviceRoundOutcome(
-                    device_id=assignment.device_id,
-                    grade=plan.grade,
-                    round_index=round_index,
-                    n_samples=assignment.n_samples,
-                    payload_bytes=payload,
-                    update=update,
-                    finished_at=self.sim.now,
-                )
-            )
-
-    # ------------------------------------------------------------------
     # benchmarking phones (Table I five-stage protocol)
     # ------------------------------------------------------------------
     def _run_benchmark_phone(
@@ -730,15 +655,7 @@ class PhoneMgr:
         record = BenchmarkRecord(serial=phone.serial, round_index=round_index)
         self.benchmark_records.append(record)
         window = self.cost_model.stage_window
-        if self.batch:
-            entry = self._register_sampled_phone(phone, record)
-            sampler: object = entry.stopped
-        else:
-            entry = None
-            sampling = {"active": True}
-            sampler = self.sim.process(
-                self._sample_loop(phone, record, sampling), name=f"{phone.serial}.sampler"
-            )
+        sampler = self._register_sampled_phone(phone, record)
 
         def boundary(stage: ApkStage, start: float) -> None:
             # Snap a synchronous sample at the transition so per-stage
@@ -747,8 +664,6 @@ class PhoneMgr:
             self._record_sample(phone, record)
             record.boundaries.append((stage, start, self.sim.now))
             if self.tracer is not None:
-                # Benchmark phones stream identically in both execution
-                # modes, so these spans are byte-identical batched/legacy.
                 self.tracer.record_bench_stage(
                     self._task_id,
                     phone.serial,
@@ -808,17 +723,14 @@ class PhoneMgr:
         start = self.sim.now
         yield Timeout(window)
         boundary(ApkStage.APK_CLOSURE, start)
-        if entry is not None:
-            entry.active = False
-        else:
-            sampling["active"] = False
+        sampler.active = False
         phone.set_idle()
-        # Both modes resume at the tick after deactivation: the legacy
-        # sampler process exits there, the shared ticker fires ``stopped``.
-        yield sampler
+        # Resume at the first tick after deactivation, where the shared
+        # ticker fires ``stopped``.
+        yield sampler.stopped
 
     # ------------------------------------------------------------------
-    # benchmark sampling (shared ticker + legacy per-phone loop)
+    # benchmark sampling (shared ticker)
     # ------------------------------------------------------------------
     def _register_sampled_phone(self, phone: VirtualPhone, record: BenchmarkRecord) -> _SampledPhone:
         """Join the shared sampler ticker (starting it on first use)."""
@@ -836,8 +748,7 @@ class PhoneMgr:
         """One shared tick: sample every active phone, in registration order.
 
         Deactivated phones get their ``stopped`` signal fired instead — the
-        moment their dedicated sampler process would have observed the flag
-        and exited.  The ticker cancels itself once nobody is registered,
+        first tick at which the sampler observes the flag.  The ticker cancels itself once nobody is registered,
         so no samples land between rounds (the Fig. 5 no-data windows).
         """
         survivors = []
@@ -852,54 +763,17 @@ class PhoneMgr:
             self._sampler_handle.cancel()
             self._sampler_handle = None
 
-    def _sample_loop(
-        self, phone: VirtualPhone, record: BenchmarkRecord, sampling: dict
-    ) -> Generator:
-        """Poll the five quoted ADB commands at the configured frequency."""
-        while sampling["active"]:
-            self._record_sample(phone, record)
-            yield Timeout(self.poll_interval)
-
     def _record_sample(self, phone: VirtualPhone, record: BenchmarkRecord) -> None:
         """Collect one sample and forward it to the upload hook.
 
-        The batched mode reads the virtual sensors directly
-        (:func:`direct_metric_sample` — bit-identical to the ADB text
-        pipeline, including its parse round-trips); legacy mode issues the
-        five raw ADB commands and post-processes their output.
+        Reads the virtual sensors directly (:func:`direct_metric_sample`
+        — bit-identical to the ADB text pipeline, including its parse
+        round-trips).
         """
-        sample = (
-            direct_metric_sample(self.sim.now, phone, self.apk.package)
-            if self.batch
-            else self._sample_via_adb(phone)
-        )
+        sample = direct_metric_sample(self.sim.now, phone, self.apk.package)
         record.samples.append(sample)
         if self.on_sample is not None:
             self.on_sample(sample)
-
-    def _sample_via_adb(self, phone: VirtualPhone) -> DeviceMetricSample:
-        """One sample via raw ADB commands and string post-processing."""
-        package = self.apk.package
-        current_raw = self.adb.shell(phone.serial, "cat /sys/class/power_supply/battery/current_now")
-        voltage_raw = self.adb.shell(phone.serial, "cat /sys/class/power_supply/battery/voltage_now")
-        pid_raw = self.adb.shell(phone.serial, f"pgrep -f {package}")
-        pid = parse_pgrep_pid(pid_raw) or 0
-        if pid:
-            top_raw = self.adb.shell(phone.serial, f"top -b -n 1 -p {pid}")
-            dumpsys_raw = self.adb.shell(phone.serial, f"dumpsys meminfo {package} | grep PSS")
-            net_raw = self.adb.shell(phone.serial, f"cat /proc/{pid}/net/dev | grep wlan")
-        else:
-            top_raw, dumpsys_raw, net_raw = "", "", ""
-        return parse_metric_sample(
-            timestamp=self.sim.now,
-            serial=phone.serial,
-            current_raw=current_raw,
-            voltage_raw=voltage_raw,
-            top_raw=top_raw,
-            pid=pid,
-            dumpsys_raw=dumpsys_raw,
-            net_dev_raw=net_raw,
-        )
 
     def _execute_flow(
         self,
@@ -926,10 +800,3 @@ class PhoneMgr:
         )
         plan.flow.execute(context)
         return context.outputs.get("update")
-
-    @staticmethod
-    def _partition(assignments: list[DeviceAssignment], n_phones: int) -> list[list[DeviceAssignment]]:
-        queues: list[list[DeviceAssignment]] = [[] for _ in range(n_phones)]
-        for index, assignment in enumerate(assignments):
-            queues[index % n_phones].append(assignment)
-        return queues

@@ -38,7 +38,11 @@ _FILE_SUFFIXES = (".json", ".yaml", ".yml")
 
 
 def _load_spec_file(path: Path) -> ScenarioSpec:
-    """Parse a YAML/JSON scenario file through ``ScenarioSpec.from_dict``."""
+    """Parse a YAML/JSON scenario file through ``ScenarioSpec.from_dict``.
+
+    A malformed spec exits with a one-line ``<file>: <field>: <problem>``
+    message instead of a traceback.
+    """
     text = path.read_text(encoding="utf-8")
     if path.suffix.lower() in (".yaml", ".yml"):
         try:
@@ -53,7 +57,10 @@ def _load_spec_file(path: Path) -> ScenarioSpec:
         data = json.loads(text)
     if not isinstance(data, dict):
         raise SystemExit(f"{path} must contain one scenario mapping, got {type(data).__name__}")
-    return ScenarioSpec.from_dict(data)
+    try:
+        return ScenarioSpec.from_dict(data)
+    except ValueError as exc:
+        raise SystemExit(f"{path}: {exc}") from None
 
 
 def _load_spec(args: argparse.Namespace) -> ScenarioSpec:
@@ -104,8 +111,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.observability.tracing import Tracer
 
     spec = _load_spec(args)
-    if args.legacy:
-        spec.batch = False
     tracing = args.trace_out is not None or args.trace_jsonl is not None
     tracer = Tracer() if tracing else None
     runner = ScenarioRunner(spec, tracer=tracer)
@@ -173,9 +178,6 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("name", help=name_help)
     run.add_argument("--scale", type=int, default=None, help="approximate total devices")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument(
-        "--legacy", action="store_true", help="per-device generator path (slow, bit-identical)"
-    )
     run.add_argument(
         "--report-json",
         "--json",  # legacy alias

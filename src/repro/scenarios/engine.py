@@ -4,7 +4,7 @@
 deployment per run, schedules every tenant submission *as a simulator
 event* (``SimDC.submit(..., at=...)`` rides the Task Manager's deferred
 path), arms the fault plan as kernel events, and drives the whole thing to
-idle on the batched fast path.  Nothing here executes outside the
+idle.  Nothing here executes outside the
 simulated clock, so a scenario is exactly as deterministic as the platform
 itself: same spec + same seed ⇒ byte-identical
 :class:`~repro.scenarios.kpis.ScenarioReport`.
@@ -156,13 +156,6 @@ class ScenarioRunner:
     ----------
     spec:
         The declarative scenario.
-    batch:
-        Optional override of the spec's execution mode (the differential
-        tests run the same spec both ways).
-    cloud_blocks:
-        Optional override of the cloud-tier ingestion granularity (see
-        :class:`~repro.core.config.PlatformConfig`); ``None`` follows
-        ``batch``.
     tracer:
         Optional :class:`~repro.observability.tracing.Tracer` armed on
         the platform; after :meth:`run`, :meth:`trace` assembles the
@@ -173,13 +166,9 @@ class ScenarioRunner:
     def __init__(
         self,
         spec: ScenarioSpec,
-        batch: bool | None = None,
-        cloud_blocks: bool | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         self.spec = spec
-        self.batch = spec.batch if batch is None else bool(batch)
-        self.cloud_blocks = cloud_blocks
         self.tracer = tracer
         self.platform = self._build_platform()
         self.faults = FaultInjector(self.platform)
@@ -256,8 +245,6 @@ class ScenarioRunner:
             cluster_nodes=[NodeSpec(cpus=20, memory_gb=30)] * spec.cluster_nodes,
             local_fleet=local_fleet,
             deviceflow_capacity=spec.deviceflow_capacity,
-            batch=self.batch,
-            cloud_blocks=self.cloud_blocks,
             channel=self._build_channel(),
             tracer=self.tracer,
         )
@@ -316,18 +303,15 @@ class ScenarioRunner:
     def run(self) -> ScenarioReport:
         """Replay the scenario to idle and distil the report."""
         self.schedule()
-        finished_at = self.platform.run_until_idle(
-            max_time=self.spec.max_time, batch=self.batch
-        )
+        finished_at = self.platform.run_until_idle(max_time=self.spec.max_time)
         # Flush trailing fault events (e.g. a recovery scheduled after the
         # last completion) so the platform ends in its healthy state.
-        self.platform.run(batch=self.batch)
+        self.platform.run()
         return build_report(
             self.spec,
             self.platform,
             self.submissions,
             finished_at,
-            batch=self.batch,
             alarms=self.alarms,
             autoscaler=self.autoscaler,
         )
@@ -347,11 +331,6 @@ class ScenarioRunner:
         )
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    batch: bool | None = None,
-    cloud_blocks: bool | None = None,
-    tracer: Tracer | None = None,
-) -> ScenarioReport:
+def run_scenario(spec: ScenarioSpec, tracer: Tracer | None = None) -> ScenarioReport:
     """One-call convenience: build, replay, report."""
-    return ScenarioRunner(spec, batch=batch, cloud_blocks=cloud_blocks, tracer=tracer).run()
+    return ScenarioRunner(spec, tracer=tracer).run()

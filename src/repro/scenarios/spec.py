@@ -11,7 +11,7 @@ strategy state and deterministic seeds.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
@@ -530,9 +530,6 @@ class ScenarioSpec:
     extra_high_phones / extra_low_phones:
         Synthetic MSP phones added on top of the default 30-phone fleet
         for scenarios with heavy physical-tier demand.
-    batch:
-        Drive the run on the wave-scheduled fast paths (default) or the
-        legacy per-device generators — bit-identical results either way.
     alarms:
         Live :class:`~repro.observability.AlarmRule` watches evaluated
         during the run (``alarm_raised`` / ``alarm_cleared`` monitor
@@ -560,7 +557,6 @@ class ScenarioSpec:
     deviceflow_capacity: float = 700.0
     extra_high_phones: int = 0
     extra_low_phones: int = 0
-    batch: bool = True
     transport: TransportSpec | None = None
     alarms: list[AlarmRule] = field(default_factory=list)
     slas: list[SLASpec] = field(default_factory=list)
@@ -619,6 +615,15 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> ScenarioSpec:
+        """Build a spec from plain data (the inverse of :meth:`to_dict`).
+
+        Raises ``ValueError`` naming the first key that is not a field,
+        e.g. ``batch: unknown field; known: name, tenants, ...``.
+        """
+        known = [f.name for f in fields(cls)]
+        for key in data:
+            if key not in known:
+                raise ValueError(f"{key}: unknown field; known: {', '.join(known)}")
         data = dict(data)
         data["tenants"] = [TenantSpec.from_dict(t) for t in data.get("tenants", [])]
         if "population" in data:

@@ -96,18 +96,6 @@ class TaskRunner:
     fixed_allocation:
         Optional explicit per-grade logical counts overriding the
         optimizer (the Type 1-5 experiments use this).
-    batch:
-        Drive both tiers through their wave-scheduled fast paths (the
-        default).  ``False`` restores per-device generator processes and
-        per-phone samplers — bit-identical simulations either way.
-    cloud_blocks:
-        Ingest batched plans' rounds into the cloud as columnar blocks
-        (one ``put_block`` / ``receive_block`` per plan) instead of one
-        storage put, message and fold per device.  Defaults to following
-        ``batch``.  Tasks routed through DeviceFlow always stream
-        per-device regardless — traffic shaping samples individual
-        arrivals mid-round.  Reports and aggregation records are
-        byte-identical either way (``tests/test_outcome_sink.py``).
     channel / channel_scope:
         Optional device→cloud :class:`~repro.cloud.transport.ChannelModel`
         fronting the ingestion sink, and the tenant scope its windows
@@ -134,8 +122,6 @@ class TaskRunner:
         fixed_allocation: dict[str, int] | None = None,
         dataset: FederatedDataset | None = None,
         unit_bundle: ResourceBundle | None = None,
-        batch: bool = True,
-        cloud_blocks: bool | None = None,
         channel: ChannelModel | None = None,
         channel_scope: str = "",
         tracer: Tracer | None = None,
@@ -153,14 +139,13 @@ class TaskRunner:
         self.fixed_allocation = fixed_allocation
         self.unit_bundle = unit_bundle if unit_bundle is not None else ResourceBundle(cpus=1.0, memory_gb=1.0)
         self._provided_dataset = dataset
-        self.cloud_blocks = batch if cloud_blocks is None else bool(cloud_blocks)
         self.channel = channel
         self.channel_scope = channel_scope
         self.tracer = tracer
         self._sink: CloudIngestSink | None = None
         self._channel: TransportChannel | None = None
         self._open_round: int | None = None
-        self.logical = LogicalSimulation(sim, cluster, self.logical_cost, self.streams, batch=batch)
+        self.logical = LogicalSimulation(sim, cluster, self.logical_cost, self.streams)
         self.phonemgr = PhoneMgr(
             sim,
             adb,
@@ -169,7 +154,6 @@ class TaskRunner:
             streams=self.streams,
             busy_registry=busy_registry,
             on_sample=self._store_sample if db is not None else None,
-            batch=batch,
             tracer=tracer,
         )
         self.service: AggregationService | None = None
@@ -193,15 +177,14 @@ class TaskRunner:
             )
             gated = channel_active or spec.deadline_s is not None
             # Flow tasks stream per-device (strategies sample individual
-            # arrivals mid-round); direct tasks hand each batched plan's
-            # round to the cloud as one columnar block.
+            # arrivals mid-round); direct tasks hand each plan's round to
+            # the cloud as one columnar block.
             self._sink = CloudIngestSink(
                 self.sim,
                 spec.task_id,
                 self.storage,
                 self.service,
                 deviceflow=self.deviceflow if uses_flow else None,
-                prefer_blocks=self.cloud_blocks,
                 dedup=channel_active,
                 tracer=self.tracer,
                 # With a channel fronting the sink, device completions

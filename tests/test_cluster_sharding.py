@@ -1,4 +1,7 @@
-"""Tests for the batched logical-tier round and the sharded execution tier."""
+"""Tests for the wave-scheduled logical-tier round and the sharded execution tier.
+
+The per-device reference model (:mod:`repro.reference`) is the oracle the
+wave schedule is compared against."""
 
 import pytest
 
@@ -15,6 +18,7 @@ from repro.cluster import (
     partition_plans,
 )
 from repro.ml import standard_fl_flow
+from repro.reference import ReferenceLogicalSimulation
 from repro.simkernel import Simulator
 
 NODES = [NodeSpec(cpus=10, memory_gb=20)] * 4
@@ -32,10 +36,15 @@ def make_plan(n_devices: int, n_actors: int = 40) -> GradeExecutionPlan:
     )
 
 
-def run_unsharded(n_devices: int, batch: bool, with_callback: bool = True):
-    """One prepare + round on a plain LogicalSimulation; returns (round, outcomes)."""
+def run_unsharded(n_devices: int, reference: bool = False, with_callback: bool = True):
+    """One prepare + round on one logical tier; returns (round, outcomes).
+
+    ``reference=True`` runs the per-device reference model on the
+    per-event kernel loop instead of the wave schedule.
+    """
     sim = Simulator()
-    logical = LogicalSimulation(sim, K8sCluster(NODES), COST, batch=batch)
+    tier = ReferenceLogicalSimulation if reference else LogicalSimulation
+    logical = tier(sim, K8sCluster(NODES), COST)
     plan = make_plan(n_devices)
     streamed = []
 
@@ -46,7 +55,7 @@ def run_unsharded(n_devices: int, batch: bool, with_callback: bool = True):
         )
 
     sim.process(driver())
-    sim.run(batch=batch)
+    sim.run(batch=not reference)
     logical.teardown()
     return logical.rounds[0], streamed
 
@@ -69,38 +78,38 @@ class TestPlanValidation:
 
 class TestBatchedRoundIdentity:
     def test_batched_outcomes_bit_identical_to_generator_path(self):
-        legacy, legacy_streamed = run_unsharded(403, batch=False)
-        batched, batched_streamed = run_unsharded(403, batch=True)
-        assert len(legacy_streamed) == len(batched_streamed) == 403
-        for a, b in zip(legacy_streamed, batched_streamed):
+        ref, ref_streamed = run_unsharded(403, reference=True)
+        batched, batched_streamed = run_unsharded(403)
+        assert len(ref_streamed) == len(batched_streamed) == 403
+        for a, b in zip(ref_streamed, batched_streamed):
             assert a.device_id == b.device_id
             assert a.finished_at == b.finished_at  # bit-identical floats
             assert a.payload_bytes == b.payload_bytes
-        assert legacy.duration == batched.duration
-        assert legacy.finished_at == batched.finished_at
+        assert ref.duration == batched.duration
+        assert ref.finished_at == batched.finished_at
 
     def test_columnar_materialization_matches_generator_path(self):
-        legacy, legacy_streamed = run_unsharded(120, batch=False)
-        columnar, streamed = run_unsharded(120, batch=True, with_callback=False)
+        ref, ref_streamed = run_unsharded(120, reference=True)
+        columnar, streamed = run_unsharded(120, with_callback=False)
         assert streamed == []
         assert not columnar.outcomes and columnar.columnar
         materialized = columnar.all_outcomes()
         assert len(materialized) == 120
-        for a, b in zip(legacy_streamed, materialized):
+        for a, b in zip(ref_streamed, materialized):
             assert a.device_id == b.device_id
             assert a.finished_at == b.finished_at
         assert columnar.n_devices == 120
-        assert legacy.duration == columnar.duration
+        assert ref.duration == columnar.duration
 
     def test_scalar_reference_times_match_batched_plan(self):
         """A plain-float re-derivation reproduces the broadcast wave times.
 
-        The generator path accumulates ``((start + model_dl) + duration) +
+        The reference model accumulates ``((start + model_dl) + duration) +
         transfer`` with scalar Python floats; re-deriving one actor's chain
         that way and comparing bit-for-bit against a real batched round
         pins the interleaved-cumsum implementation from the outside.
         """
-        batched, streamed = run_unsharded(97, batch=True)
+        batched, streamed = run_unsharded(97)
         by_device = {o.device_id: o.finished_at for o in streamed}
         plan = make_plan(97)
         n_actors = 40
@@ -142,7 +151,7 @@ class TestPartitionPlans:
 
 class TestShardedDeterminism:
     def test_single_shard_bit_identical_to_unsharded(self):
-        legacy, streamed = run_unsharded(160, batch=False)
+        ref, streamed = run_unsharded(160, reference=True)
         result = ShardedLogicalSimulation(NODES, COST, n_shards=1, seed=0).run_rounds(
             [make_plan(160)], n_rounds=1, model_bytes=4096
         )
@@ -152,7 +161,7 @@ class TestShardedDeterminism:
         for a, b in zip(reference, merged.outcomes):
             assert a.device_id == b.device_id
             assert a.finished_at == b.finished_at
-        assert merged.duration == legacy.duration
+        assert merged.duration == ref.duration
 
     @pytest.mark.parametrize("collect_outcomes", [True, False])
     def test_shard_counts_produce_identical_metrics(self, collect_outcomes):

@@ -226,3 +226,20 @@ class TestOperatorFlow:
 
     def test_train_work_scales_with_epochs(self):
         assert TrainOp(epochs=5).work == pytest.approx(5.0)
+
+
+class TestAnnotations:
+    def test_block_rng_annotations_resolve(self):
+        # Every name in these annotations must be importable at runtime:
+        # documentation tools and dataclass introspection evaluate them.
+        import typing
+
+        from repro.ml.client import BlockTrainer
+        from repro.ml.operators import BlockOperatorContext
+        from repro.ml.optimizer import SGD
+
+        expected = np.random.Generator | None
+        assert typing.get_type_hints(BlockOperatorContext)["rngs"] == list[expected] | None
+        for function in (BlockTrainer.train, BlockTrainer.train_from_global, SGD.run_epochs_block):
+            container, _ = typing.get_args(typing.get_type_hints(function)["rngs"])
+            assert typing.get_args(container) == (expected,)

@@ -1,12 +1,11 @@
 """Differential suite: every numeric execution strategy is bit-identical.
 
-The logical tier can run a numeric (ML-executing) plan four ways — the
-legacy generator path, the batched wave-schedule path, and the sharded
-tier with 1, 2 or 4 workers.  All of them must produce *bit-identical*
-global weights, per-device outcomes (update weights/biases, sample
-counts, payloads) and completion times for the same seed, across multiple
-rounds with FedAvg feedback between them.  This is the contract that lets
-the fast paths replace the generator path in seeded experiments.
+A numeric (ML-executing) plan runs on the wave schedule, unsharded or
+sharded over 1, 2 or 4 workers; the per-device reference model
+(:mod:`repro.reference`) is the oracle.  All of them must produce
+*bit-identical* global weights, per-device outcomes (update
+weights/biases, sample counts, payloads) and completion times for the
+same seed, across multiple rounds with FedAvg feedback between them.
 """
 
 import numpy as np
@@ -25,6 +24,7 @@ from repro.cluster import (
 )
 from repro.data.avazu import DeviceDataset
 from repro.ml import fedavg, standard_fl_flow
+from repro.reference import ReferenceLogicalSimulation
 from repro.simkernel import RandomStreams, Simulator
 
 NODES = [NodeSpec(cpus=10, memory_gb=20)] * 4
@@ -59,16 +59,17 @@ def make_numeric_plan(n_devices: int = N_DEVICES, n_actors: int = N_ACTORS) -> G
     )
 
 
-def run_unsharded(batch: bool, n_rounds: int = N_ROUNDS, collect: bool = True):
-    """Drive ``n_rounds`` with FedAvg feedback on one LogicalSimulation.
+def run_unsharded(reference: bool = False, n_rounds: int = N_ROUNDS, collect: bool = True):
+    """Drive ``n_rounds`` with FedAvg feedback on one logical tier.
 
-    Returns ``(per_round_outcomes, weights_history, round_results)`` where
-    outcomes are in emission order.
+    ``reference=True`` runs the per-device reference model on the
+    per-event kernel loop.  Returns ``(per_round_outcomes,
+    weights_history, round_results)`` where outcomes are in emission
+    order.
     """
     sim = Simulator()
-    logical = LogicalSimulation(
-        sim, K8sCluster(NODES), COST, streams=RandomStreams(SEED), batch=batch
-    )
+    tier = ReferenceLogicalSimulation if reference else LogicalSimulation
+    logical = tier(sim, K8sCluster(NODES), COST, streams=RandomStreams(SEED))
     plan = make_numeric_plan()
     per_round, weights_history = [], []
 
@@ -90,7 +91,7 @@ def run_unsharded(batch: bool, n_rounds: int = N_ROUNDS, collect: bool = True):
             weights_history.append((weights, bias))
 
     sim.process(driver())
-    sim.run(batch=batch)
+    sim.run(batch=not reference)
     logical.teardown()
     return per_round, weights_history, logical.rounds
 
@@ -120,13 +121,13 @@ def assert_outcomes_identical(reference, candidate):
 
 @pytest.fixture(scope="module")
 def generator_reference():
-    return run_unsharded(batch=False)
+    return run_unsharded(reference=True)
 
 
 class TestBatchedNumericEquivalence:
     def test_batched_path_bit_identical(self, generator_reference):
         ref_rounds, ref_weights, ref_results = generator_reference
-        bat_rounds, bat_weights, bat_results = run_unsharded(batch=True)
+        bat_rounds, bat_weights, bat_results = run_unsharded()
         for ref, bat in zip(ref_rounds, bat_rounds):
             assert_outcomes_identical(ref, bat)
         for (rw, rb), (bw, bb) in zip(ref_weights, bat_weights):
@@ -138,7 +139,7 @@ class TestBatchedNumericEquivalence:
 
     def test_columnar_blocks_materialize_identically(self, generator_reference):
         ref_rounds, ref_weights, _ = generator_reference
-        col_rounds, col_weights, col_results = run_unsharded(batch=True, collect=False)
+        col_rounds, col_weights, col_results = run_unsharded(collect=False)
         assert all(result.columnar and not result.outcomes for result in col_results)
         for ref, col in zip(ref_rounds, col_rounds):
             assert_outcomes_identical(ref, col)
@@ -147,7 +148,7 @@ class TestBatchedNumericEquivalence:
             assert rb == cb
 
     def test_columnar_fedavg_inputs_match_updates(self):
-        _, _, col_results = run_unsharded(batch=True, collect=False, n_rounds=1)
+        _, _, col_results = run_unsharded(collect=False, n_rounds=1)
         weights, biases, n_samples = col_results[0].fedavg_inputs()
         materialized = col_results[0].all_outcomes()
         assert weights.shape == (N_DEVICES, FEATURE_DIM)
@@ -209,11 +210,10 @@ class TestMixedPlanRound:
         )
         return [numeric, time_only]
 
-    def _run_unsharded(self, batch: bool):
+    def _run_unsharded(self, reference: bool = False):
         sim = Simulator()
-        logical = LogicalSimulation(
-            sim, K8sCluster(NODES), COST, streams=RandomStreams(SEED), batch=batch
-        )
+        tier = ReferenceLogicalSimulation if reference else LogicalSimulation
+        logical = tier(sim, K8sCluster(NODES), COST, streams=RandomStreams(SEED))
 
         def driver():
             yield sim.process(logical.prepare(self._mixed_plans()))
@@ -222,13 +222,13 @@ class TestMixedPlanRound:
             )
 
         sim.process(driver())
-        sim.run(batch=batch)
+        sim.run(batch=not reference)
         logical.teardown()
         return logical.rounds[0]
 
     def test_unsharded_mixed_round_matches_generator(self):
-        reference = self._run_unsharded(batch=False)
-        batched = self._run_unsharded(batch=True)
+        reference = self._run_unsharded(reference=True)
+        batched = self._run_unsharded()
         assert batched.n_devices == reference.n_devices == 20
         # Both plans went columnar, and only the numeric one carries updates.
         assert len(batched.columnar) == 2
@@ -253,7 +253,7 @@ class TestMixedPlanRound:
 
     @pytest.mark.parametrize("n_shards", [1, 2])
     def test_sharded_mixed_round(self, n_shards):
-        reference = self._run_unsharded(batch=False)
+        reference = self._run_unsharded(reference=True)
         result = ShardedLogicalSimulation(NODES, COST, n_shards=n_shards, seed=SEED).run_rounds(
             self._mixed_plans(),
             n_rounds=1,

@@ -4,9 +4,11 @@ The property tests pin the two contracts the subsystem is built on: the
 hysteresis state machine never chatters inside the (clear, warn) band,
 and SLA evaluation is a pure, deterministic function of the KPIs.  The
 integration tests close the loop — alarms raised from real platform
-events drive the autoscaler, byte-identically across the batched and
-legacy event loops.
+events drive the autoscaler, deterministically and byte-identical to
+golden digests of the loop.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -419,26 +421,25 @@ class TestAutoscale:
         total_added = sum(len(e.fields["nodes"]) for e in ups)
         assert 0 < total_added <= 2
 
-    def test_loop_identical_across_batch_modes_and_repeats(self):
+    def test_loop_identical_across_batch_modes_and_repeats(self, golden, sha256):
         """The acceptance contract: the whole remediation loop is
-        deterministic and bit-identical between the event loops."""
-        batched = run_scenario(autoscale_scenario(), batch=True)
-        legacy = run_scenario(autoscale_scenario(), batch=False)
-        repeat = run_scenario(autoscale_scenario(), batch=True)
-        assert batched.to_json() == repeat.to_json()
-        bat, leg = batched.to_dict(), legacy.to_dict()
-        assert bat.pop("batch") is True and leg.pop("batch") is False
-        assert bat == leg
-        assert batched.alarm_events.get("alarm_raised", 0) >= 1
+        deterministic, and matches the report digest recorded when the
+        per-event and batched loops (and both execution engines) agreed."""
+        first = run_scenario(autoscale_scenario())
+        repeat = run_scenario(autoscale_scenario())
+        assert first.to_json() == repeat.to_json()
+        assert sha256(first.to_json()) == golden["differential"]["autoscale"]
+        assert first.alarm_events.get("alarm_raised", 0) >= 1
 
-    def test_alarm_event_timeline_identical_across_modes(self):
+    def test_alarm_event_timeline_identical_across_modes(self, golden, sha256):
         """Not just the report: the full alarm/autoscale event timeline."""
-        def timeline(batch):
-            runner = ScenarioRunner(autoscale_scenario(), batch=batch)
-            runner.run()
-            return [
-                (e.time, e.kind, dict(e.fields))
-                for e in runner.platform.monitor.events
-                if e.kind.startswith(("alarm_", "autoscale_", "sla_"))
-            ]
-        assert timeline(True) == timeline(False)
+        runner = ScenarioRunner(autoscale_scenario())
+        runner.run()
+        timeline = [
+            (e.time, e.kind, dict(e.fields))
+            for e in runner.platform.monitor.events
+            if e.kind.startswith(("alarm_", "autoscale_", "sla_"))
+        ]
+        assert timeline
+        digest = sha256(json.dumps(timeline, sort_keys=True))
+        assert digest == golden["differential"]["autoscale_alarm_timeline"]

@@ -1,19 +1,19 @@
 """The OutcomeSink contract and the block-vs-scalar ingestion differential.
 
-Three layers of the same guarantee:
+Four layers of the same guarantee:
 
-1. Protocol mechanics — structural ``isinstance`` checks, the
-   bare-callable deprecation shim, block materialization.
-2. Tier level — a ``LogicalSimulation`` round delivered to a
-   ``CloudIngestSink`` in block mode leaves storage and the aggregation
-   service bit-identical to scalar streaming.
-3. Platform level — a full multi-tenant scenario replayed with
-   ``cloud_blocks=True`` and ``cloud_blocks=False`` produces
-   byte-identical reports (including a DeviceFlow tenant, which always
-   streams).
+1. Protocol mechanics — structural ``isinstance`` checks, rejection of
+   non-sinks, block materialization.
+2. Sink level — one ``accept_block`` of a block leaves storage and the
+   aggregation service bit-identical to ``accept`` of each materialized
+   outcome.
+3. Tier level — a ``LogicalSimulation`` round delivered to a
+   ``CloudIngestSink`` in block mode matches the same round streamed per
+   device.
+4. Platform level — a multi-tenant scenario (including a DeviceFlow
+   tenant, which always streams) reproduces the report digest recorded
+   when block and scalar ingestion were both selectable.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from repro.cloud import (
     CloudIngestSink,
     ObjectStorage,
     OutcomeSink,
-    coerce_sink,
+    check_sink,
 )
 from repro.cloud.aggregation import AggregationTrigger
 from repro.cluster import (
@@ -48,7 +48,8 @@ from repro.scenarios import (
     TenantSpec,
     run_scenario,
 )
-from repro.simkernel import RandomStreams, Simulator
+from repro.reference import ReferenceLogicalSimulation, reference_tiers
+from repro.simkernel import ProcessError, RandomStreams, Simulator
 
 FEATURE_DIM = 16
 MODEL_BYTES = 2048
@@ -82,37 +83,24 @@ class TestProtocol:
         )
         assert isinstance(sink, OutcomeSink)
 
-    def test_coerce_passes_sinks_and_none_through(self):
-        sink = CallbackSink(lambda o: None)
-        assert coerce_sink(sink) is sink
-        assert coerce_sink(None) is None
-
-    def test_coerce_wraps_bare_callable_with_deprecation(self):
-        seen = []
-        with pytest.warns(DeprecationWarning, match="bare callable"):
-            wrapped = coerce_sink(seen.append)
-        assert isinstance(wrapped, CallbackSink)
-        assert wrapped.prefers_blocks is False
-        wrapped.accept("outcome")
-        assert seen == ["outcome"]
-
-    def test_coerce_rejects_non_callables(self):
-        with pytest.raises(TypeError):
-            coerce_sink(42)
+    def test_check_sink_passes_sinks_and_none(self):
+        check_sink(CallbackSink(lambda o: None))
+        check_sink(None)
         with pytest.raises(TypeError):
             CallbackSink("not-callable")
 
-    def test_run_round_warns_on_bare_callable(self):
+    @pytest.mark.parametrize("bad", [lambda o: None, 42], ids=["bare-callable", "int"])
+    def test_run_round_rejects_non_sinks(self, bad):
         sim = Simulator()
         logical = LogicalSimulation(sim, K8sCluster(NODES), COST, streams=RandomStreams(0))
         plan = make_plan(n_devices=4, numeric=False)
 
         def drive():
             yield sim.process(logical.prepare([plan]))
-            yield sim.process(logical.run_round(1, None, 0.0, 0, lambda o: None))
+            yield sim.process(logical.run_round(1, None, 0.0, 0, bad))
 
         sim.process(drive())
-        with pytest.warns(DeprecationWarning, match="bare callable"):
+        with pytest.raises(ProcessError, match="wrap a bare callable in CallbackSink"):
             sim.run()
         logical.teardown()
 
@@ -121,9 +109,7 @@ class TestProtocol:
         service = AggregationService(sim, ObjectStorage(), AggregationTrigger())
         flow = DeviceFlow(sim)
         flow.register_task("t", RealTimeAccumulatedStrategy(thresholds=[1]), service.receive_message)
-        sink = CloudIngestSink(
-            sim, "t", ObjectStorage(), service, deviceflow=flow, prefer_blocks=True
-        )
+        sink = CloudIngestSink(sim, "t", ObjectStorage(), service, deviceflow=flow)
         assert sink.prefers_blocks is False
         direct = CloudIngestSink(sim, "t", ObjectStorage(), service)
         assert direct.prefers_blocks is True
@@ -155,17 +141,20 @@ def make_plan(n_devices=12, n_actors=4, numeric=True):
     )
 
 
-def run_tier_round(prefer_blocks):
-    """One numeric round delivered through a CloudIngestSink."""
+def run_tier_round(blocks):
+    """One numeric round delivered through a CloudIngestSink.
+
+    ``blocks=False`` streams the round into the sink per device (through
+    a CallbackSink wrapped around ``sink.accept``).
+    """
     sim = Simulator()
-    logical = LogicalSimulation(
-        sim, K8sCluster(NODES), COST, streams=RandomStreams(3), batch=True
-    )
+    logical = LogicalSimulation(sim, K8sCluster(NODES), COST, streams=RandomStreams(3))
     storage = ObjectStorage()
     service = AggregationService(
         sim, storage, AggregationTrigger(), model=LogisticRegressionModel(FEATURE_DIM)
     )
-    sink = CloudIngestSink(sim, "t", storage, service, prefer_blocks=prefer_blocks)
+    ingest = CloudIngestSink(sim, "t", storage, service)
+    sink = ingest if blocks else CallbackSink(ingest.accept)
     plan = make_plan()
 
     def drive():
@@ -181,58 +170,105 @@ def run_tier_round(prefer_blocks):
     return storage, service, record
 
 
+def assert_ingest_identical(scalar, block) -> None:
+    """Storage, aggregation service and fold record agree bit for bit."""
+    storage_s, service_s, record_s = scalar
+    storage_b, service_b, record_b = block
+
+    # Aggregation: same fold, bit-identical model.
+    assert np.array_equal(service_b.model.weights, service_s.model.weights)
+    assert service_b.model.bias == service_s.model.bias
+    assert record_b.n_updates == record_s.n_updates
+    assert record_b.n_samples == record_s.n_samples
+    assert record_b.time == record_s.time
+    assert service_b.messages_received == service_s.messages_received
+    assert service_b.bytes_received == service_s.bytes_received
+
+    # Storage: same keys, same payload bits, same metadata.
+    shared_keys = storage_s.keys()
+    assert storage_b.keys() == shared_keys
+    assert storage_b.put_count == storage_s.put_count
+    assert storage_b.total_bytes_written == storage_s.total_bytes_written
+    for key in shared_keys:
+        head_b, head_s = storage_b.head(key), storage_s.head(key)
+        assert head_b.size_bytes == head_s.size_bytes
+        assert head_b.stored_at == head_s.stored_at
+        assert head_b.writer == head_s.writer
+        update_b, update_s = storage_b.get(key), storage_s.get(key)
+        assert np.array_equal(update_b.weights, update_s.weights)
+        assert update_b.bias == update_s.bias
+        assert update_b.n_samples == update_s.n_samples
+
+
+def wave_block():
+    """One numeric round's columnar block (no sink: nothing delivered)."""
+    sim = Simulator()
+    logical = LogicalSimulation(sim, K8sCluster(NODES), COST, streams=RandomStreams(3))
+
+    def drive():
+        yield sim.process(logical.prepare([make_plan()], task_id="t"))
+        yield sim.process(logical.run_round(1, np.zeros(FEATURE_DIM), 0.0, MODEL_BYTES, None))
+
+    sim.process(drive())
+    sim.run(batch=True)
+    logical.teardown()
+    (block,) = logical.rounds[0].columnar
+    return block
+
+
+def ingest(block, blocks: bool):
+    """Feed ``block`` to a fresh CloudIngestSink whole or per outcome.
+
+    Each delivery happens at its simulated completion time, as a tier
+    would make it.
+    """
+    sim = Simulator()
+    storage = ObjectStorage()
+    service = AggregationService(
+        sim, storage, AggregationTrigger(), model=LogisticRegressionModel(FEATURE_DIM)
+    )
+    sink = CloudIngestSink(sim, "t", storage, service)
+    if blocks:
+        sim.schedule_at(float(block.finished_at.max()), sink.accept_block, block)
+    else:
+        for outcome in block.materialize():
+            sim.schedule_at(outcome.finished_at, sink.accept, outcome)
+    sim.run()
+    return storage, service, service.aggregate_now()
+
+
+class TestSinkDifferential:
+    def test_accept_block_matches_accept_of_materialized_outcomes(self):
+        block = wave_block()
+        assert len(block) == 12 and block.update_weights is not None
+        assert_ingest_identical(ingest(block, blocks=False), ingest(block, blocks=True))
+
+
 class TestTierDifferential:
     def test_block_and_scalar_ingestion_identical(self):
-        storage_s, service_s, record_s = run_tier_round(prefer_blocks=False)
-        storage_b, service_b, record_b = run_tier_round(prefer_blocks=True)
-
-        # Aggregation: same fold, bit-identical model.
-        assert np.array_equal(service_b.model.weights, service_s.model.weights)
-        assert service_b.model.bias == service_s.model.bias
-        assert record_b.n_updates == record_s.n_updates
-        assert record_b.n_samples == record_s.n_samples
-        assert record_b.time == record_s.time
-        assert service_b.messages_received == service_s.messages_received
-        assert service_b.bytes_received == service_s.bytes_received
-
-        # Storage: same keys, same payload bits, same metadata.
-        shared_keys = storage_s.keys()
-        assert storage_b.keys() == shared_keys
-        assert storage_b.put_count == storage_s.put_count
-        assert storage_b.total_bytes_written == storage_s.total_bytes_written
-        for key in shared_keys:
-            head_b, head_s = storage_b.head(key), storage_s.head(key)
-            assert head_b.size_bytes == head_s.size_bytes
-            assert head_b.stored_at == head_s.stored_at
-            assert head_b.writer == head_s.writer
-            update_b, update_s = storage_b.get(key), storage_s.get(key)
-            assert np.array_equal(update_b.weights, update_s.weights)
-            assert update_b.bias == update_s.bias
-            assert update_b.n_samples == update_s.n_samples
+        assert_ingest_identical(run_tier_round(blocks=False), run_tier_round(blocks=True))
 
     def test_callback_sink_materializes_blocks_in_completion_order(self):
-        # A CallbackSink handed to a batched tier must observe the same
-        # per-device stream the legacy path produced (covered broadly by
-        # test_numeric_equivalence; this pins the block-materialize path).
-        block_seen, scalar_seen = [], []
-        for collect, prefer in ((block_seen, True), (scalar_seen, False)):
+        # A CallbackSink handed to the wave-scheduled tier must observe
+        # the same per-device stream as the reference model's actors.
+        seen = {}
+        for tier in (LogicalSimulation, ReferenceLogicalSimulation):
             sim = Simulator()
-            logical = LogicalSimulation(
-                sim, K8sCluster(NODES), COST, streams=RandomStreams(3), batch=True
-            )
+            logical = tier(sim, K8sCluster(NODES), COST, streams=RandomStreams(3))
             plan = make_plan(numeric=False)
-            sink = CallbackSink(collect.append)
-            assert sink.prefers_blocks is False or prefer
+            sink = CallbackSink(seen.setdefault(tier, []).append)
 
             def drive():
                 yield sim.process(logical.prepare([plan], task_id="t"))
                 yield sim.process(logical.run_round(1, None, 0.0, 0, sink))
 
             sim.process(drive())
-            sim.run(batch=True)
+            sim.run(batch=tier is LogicalSimulation)
             logical.teardown()
-        assert [o.device_id for o in block_seen] == [o.device_id for o in scalar_seen]
-        assert [o.finished_at for o in block_seen] == [o.finished_at for o in scalar_seen]
+        wave, reference = seen[LogicalSimulation], seen[ReferenceLogicalSimulation]
+        assert len(wave) == 12
+        assert [o.device_id for o in wave] == [o.device_id for o in reference]
+        assert [o.finished_at for o in wave] == [o.finished_at for o in reference]
 
 
 # ----------------------------------------------------------------------
@@ -270,13 +306,15 @@ def sink_scenario() -> ScenarioSpec:
 
 
 class TestPlatformDifferential:
-    def test_cloud_blocks_report_byte_identical(self):
-        block = run_scenario(sink_scenario(), cloud_blocks=True)
-        scalar = run_scenario(sink_scenario(), cloud_blocks=False)
-        assert block.to_json() == scalar.to_json()
+    def test_cloud_blocks_report_byte_identical(self, golden, sha256):
+        # The direct tenant's rounds reach the cloud as columnar blocks;
+        # the digest was recorded with per-device (scalar) ingestion.
+        report = run_scenario(sink_scenario())
+        assert sha256(report.to_json()) == golden["differential"]["sink_differential"]
 
-    def test_cloud_blocks_matches_legacy_generator_path(self):
-        block = run_scenario(sink_scenario(), batch=True, cloud_blocks=True).to_dict()
-        legacy = run_scenario(sink_scenario(), batch=False, cloud_blocks=False).to_dict()
-        assert block.pop("batch") is True and legacy.pop("batch") is False
-        assert block == legacy
+    def test_cloud_blocks_matches_legacy_generator_path(self, golden, sha256):
+        # The same digest matched the per-device generator engine; the
+        # reference model must still reproduce it.
+        with reference_tiers():
+            report = run_scenario(sink_scenario())
+        assert sha256(report.to_json()) == golden["differential"]["sink_differential"]

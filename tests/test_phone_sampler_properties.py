@@ -1,13 +1,15 @@
-"""Property suites for the shared benchmark-sampler ticker and _partition.
+"""Property suites for the shared benchmark-sampler ticker and the
+round-robin partition.
 
-The shared ticker replaces N per-phone polling processes with one
-recurring pooled tick; Hypothesis drives full benchmark sessions over
-arbitrary poll intervals and stage windows (including intervals that
-collide with or exceed the windows, where tie-breaking against stage
-boundaries is subtle) and asserts the sampled series — timestamps,
-contents, and session end times — is identical to the per-phone loops'.
-The round-robin queue partition that both the legacy generators and the
-wave schedule rely on is checked for exactly-once coverage.
+The shared ticker samples every benchmarking phone from one recurring
+pooled tick; the reference model (:class:`repro.reference.ReferencePhoneMgr`)
+runs one polling process per phone.  Hypothesis drives full benchmark
+sessions over arbitrary poll intervals and stage windows (including
+intervals that collide with or exceed the windows, where tie-breaking
+against stage boundaries is subtle) and asserts the sampled series —
+timestamps, contents, and session end times — is identical in both.
+The round-robin queue partition that both the reference generators and
+the wave schedule rely on is checked for exactly-once coverage.
 """
 
 from hypothesis import given, settings
@@ -24,10 +26,11 @@ from repro.phones import (
     VirtualPhone,
     build_fleet,
 )
+from repro.reference import ReferencePhoneMgr, partition_round_robin
 from repro.simkernel import RandomStreams, Simulator
 
 
-def run_benchmark_session(batch: bool, poll: float, window: float, n_bench: int,
+def run_benchmark_session(wave: bool, poll: float, window: float, n_bench: int,
                           rounds: int, seed: int):
     sim = Simulator()
     adb = SimulatedAdb()
@@ -38,10 +41,10 @@ def run_benchmark_session(batch: bool, poll: float, window: float, n_bench: int,
         adb.register(phone)
         phones.append(phone)
     samples = []
-    mgr = PhoneMgr(
+    mgr = (PhoneMgr if wave else ReferencePhoneMgr)(
         sim, adb, phones,
         cost_model=PhysicalCostModel(stage_window=window),
-        streams=streams, poll_interval=poll, batch=batch,
+        streams=streams, poll_interval=poll,
         on_sample=samples.append,
     )
     plan = PhoneAssignment(
@@ -59,7 +62,7 @@ def run_benchmark_session(batch: bool, poll: float, window: float, n_bench: int,
             yield sim.process(mgr.run_round(round_index, None, 0.0, 33000, CallbackSink(lambda o: None)))
 
     sim.process(drive())
-    sim.run(batch=batch)
+    sim.run(batch=wave)
     return samples, mgr.benchmark_records, sim.now
 
 
@@ -96,7 +99,7 @@ def test_shared_ticker_matches_per_phone_loops(poll, window, n_bench, rounds, se
 @settings(max_examples=100, deadline=None)
 def test_partition_round_robin_exactly_once(n_assignments, n_phones):
     assignments = [DeviceAssignment(f"d{i}", "Std", 1 + i) for i in range(n_assignments)]
-    queues = PhoneMgr._partition(assignments, n_phones)
+    queues = partition_round_robin(assignments, n_phones)
     assert len(queues) == n_phones
     # Every assignment lands exactly once, at position index // n_phones of
     # queue index % n_phones — the layout the wave schedule inverts.

@@ -1,10 +1,12 @@
-"""Differential suite: the batched phone tier is bit-identical to legacy.
+"""Differential suite: the wave-scheduled phone tier is bit-identical to
+the per-device reference model.
 
-PhoneMgr can run a round two ways — the legacy path (one generator + three
-heap events per emulated device, one 1 Hz sampler process per benchmarking
-phone, ADB string round-trips per sample) and the batched path (per-phone
-cumsum wave schedules in a TimeoutPool, one shared sampler ticker, direct
-sensor sampling).  Both must produce *bit-identical* simulations: outcome
+The reference model (:class:`repro.reference.ReferencePhoneMgr`: one
+generator + three heap events per emulated device, one 1 Hz sampler
+process per benchmarking phone, ADB string round-trips per sample) is the
+oracle for PhoneMgr's wave path (per-phone cumsum wave schedules in a
+TimeoutPool, one shared sampler ticker, direct sensor sampling).  Both
+must produce *bit-identical* simulations: outcome
 streams (ids, payloads, model updates, emission order), completion times,
 benchmark sample series, Table-I stage summaries, and per-phone physical
 state (battery accounts, WLAN counters, session counts) — across multiple
@@ -29,6 +31,7 @@ from repro.phones import (
     build_fleet,
 )
 from repro.phones.specs import DEFAULT_MSP_FLEET
+from repro.reference import ReferencePhoneMgr
 from repro.simkernel import RandomStreams, Simulator, Timeout
 
 SEED = 7
@@ -36,8 +39,9 @@ FEATURE_DIM = 32
 MODEL_BYTES = FEATURE_DIM * 8 + 8 + 64
 
 
-def build_rig(batch: bool, n_phones: int, seed: int = SEED, poll: float = 1.0,
+def build_rig(wave: bool, n_phones: int, seed: int = SEED, poll: float = 1.0,
               window: float = 15.0, msp: bool = False):
+    """A phone fleet plus manager: PhoneMgr when ``wave``, else the reference."""
     sim = Simulator()
     adb = SimulatedAdb()
     streams = RandomStreams(seed)
@@ -56,8 +60,8 @@ def build_rig(batch: bool, n_phones: int, seed: int = SEED, poll: float = 1.0,
     cost = PhysicalCostModel(
         stage_window=window, msp_control_latency=0.8 if msp else 0.0
     )
-    mgr = PhoneMgr(
-        sim, adb, phones, cost_model=cost, streams=streams, batch=batch,
+    mgr = (PhoneMgr if wave else ReferencePhoneMgr)(
+        sim, adb, phones, cost_model=cost, streams=streams,
         poll_interval=poll, on_sample=samples.append,
     )
     return sim, mgr, phones, samples
@@ -97,10 +101,13 @@ def numeric_plan(grade: str, n_devices: int, n_phones: int, n_bench: int, seed: 
     )
 
 
-def run_session(batch: bool, plans, n_phones: int, rounds: int = 2, numeric: bool = False,
+def run_session(wave: bool, plans, n_phones: int, rounds: int = 2, numeric: bool = False,
                 poll: float = 1.0, window: float = 15.0, msp: bool = False, seed: int = SEED):
-    """Drive prepare -> rounds -> teardown; return everything observable."""
-    sim, mgr, phones, samples = build_rig(batch, n_phones, seed=seed, poll=poll,
+    """Drive prepare -> rounds -> teardown; return everything observable.
+
+    ``wave=False`` runs the reference model on the per-event kernel loop.
+    """
+    sim, mgr, phones, samples = build_rig(wave, n_phones, seed=seed, poll=poll,
                                           window=window, msp=msp)
     outcomes = []
     weights = np.zeros(FEATURE_DIM) if numeric else None
@@ -115,7 +122,7 @@ def run_session(batch: bool, plans, n_phones: int, rounds: int = 2, numeric: boo
         yield sim.process(mgr.teardown())
 
     sim.process(drive())
-    sim.run(batch=batch)
+    sim.run(batch=wave)
     return {
         "mgr": mgr,
         "phones": phones,
@@ -127,6 +134,7 @@ def run_session(batch: bool, plans, n_phones: int, rounds: int = 2, numeric: boo
 
 
 def assert_equivalent(legacy: dict, batched: dict) -> None:
+    """``legacy`` is the reference session, ``batched`` the wave session."""
     """Full bit-level comparison of two sessions."""
     assert legacy["end"] == batched["end"]
     # Outcome stream: same devices, same order, same times, same payloads.
@@ -195,7 +203,7 @@ class TestTimeOnlyEquivalence:
 
     def test_more_phones_than_devices(self):
         # Some phones get empty queues; the wave schedule must skip them
-        # exactly as the legacy generators do.
+        # exactly as the reference generators do.
         def plans():
             return [time_only_plan("High", 3, 5, 0)]
 
@@ -207,8 +215,8 @@ class TestTimeOnlyEquivalence:
     @pytest.mark.parametrize("poll", [0.37, 5.0, 15.0, 31.0])
     def test_sampler_tie_breaking(self, poll):
         # Poll intervals that collide with (or exceed) the stage windows:
-        # the shared ticker must reproduce the per-phone loops' boundary
-        # tie ordering and final-tick semantics.
+        # the shared ticker must reproduce the reference per-phone loops'
+        # boundary tie ordering and final-tick semantics.
         def plans():
             return [time_only_plan("High", 4, 2, 2)]
 
@@ -227,17 +235,17 @@ class TestNumericEquivalence:
 
     def test_numeric_stream_continuity_across_rounds(self):
         # phone-exec.* streams are cached per device: round 2 must continue
-        # the same generators in both modes, so a 3-round run diverges if
-        # either path consumes draws differently.
+        # the same generators in both models, so a 3-round run diverges if
+        # either consumes draws differently.
         assert_equivalent(
             run_session(False, [numeric_plan("Low", 6, 2, 1)], 6, numeric=True, rounds=3),
             run_session(True, [numeric_plan("Low", 6, 2, 1)], 6, numeric=True, rounds=3),
         )
 
     def test_custom_flow_without_block_support_falls_back(self):
-        # UploadUpdateOp alone requires trained weights, so build a flow
-        # whose operator lacks apply_block: the batched manager must route
-        # the plan through the generator path and still match legacy.
+        # A flow whose last operator lacks apply_block still runs on the
+        # wave schedule (the block executes per row) and must match the
+        # reference model.
         class NoBlockUpload(UploadUpdateOp):
             supports_block = False
 
@@ -264,18 +272,19 @@ class TestNumericEquivalence:
 
 
 class TestFullPlatformEquivalence:
-    def test_fig5_trace_identical_through_the_whole_stack(self):
+    def test_fig5_trace_identical_through_the_whole_stack(self, golden, sha256):
         # End to end: SimDC platform -> TaskRunner -> PhoneMgr -> cloud DB.
-        # The legacy and batched deployments must upload the exact same
-        # sample series and report the same round windows.
+        # The sample series and round windows must match the golden trace
+        # recorded when the per-device engine and the wave path agreed.
+        import dataclasses
+        import json
+
         from repro.experiments import run_fig5_device_trace
 
-        legacy = run_fig5_device_trace(rounds=2, batch=False)
-        batched = run_fig5_device_trace(rounds=2, batch=True)
-        assert legacy.times == batched.times
-        assert legacy.cpu_percent == batched.cpu_percent
-        assert legacy.memory_mb == batched.memory_mb
-        assert legacy.round_windows == batched.round_windows
+        trace = run_fig5_device_trace(rounds=2)
+        assert trace.n_samples > 0 and len(trace.round_windows) == 2
+        digest = sha256(json.dumps(dataclasses.asdict(trace), sort_keys=True))
+        assert digest == golden["experiments"]["fig5_device_trace"]
 
 
 class TestAbortMidRound:
@@ -313,7 +322,7 @@ class TestAbortMidRound:
 
 class TestColumnarRounds:
     def test_columnar_blocks_match_eager_outcomes(self):
-        # Without a callback the batched path emits one columnar block per
+        # Without a callback the wave path emits one columnar block per
         # plan; materializing it must reproduce the eager outcome stream.
         sim, mgr, phones, _ = build_rig(True, 6)
         plan = time_only_plan("High", 11, 3, 0)

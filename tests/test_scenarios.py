@@ -2,8 +2,9 @@
 
 The heart of the suite is the scenario-level extension of the repo's
 differential-test pattern: the same spec + seed must produce
-byte-identical reports across runs, and the batched fast path must agree
-with the legacy per-device generator path on every KPI.
+byte-identical reports across runs, and those reports must match the
+golden digests recorded when the per-device generator engine and the
+wave-scheduled path agreed on every KPI.
 """
 
 import json
@@ -106,6 +107,15 @@ class TestSpecSerialization:
         # Mean gap should be in the vicinity of 60s (rate 60/h).
         assert 30.0 < times[-1] / 50 < 120.0
 
+    def test_from_dict_rejects_unknown_fields(self):
+        data = tiny_scenario().to_dict()
+        data["batch"] = False
+        with pytest.raises(ValueError) as excinfo:
+            ScenarioSpec.from_dict(data)
+        message = str(excinfo.value)
+        assert message.startswith("batch: unknown field; known: name, tenants, ")
+        assert "\n" not in message
+
     def test_from_dict_respects_field_defaults(self):
         tenant = TenantSpec.from_dict({"name": "defaults-only"})
         assert len(tenant.grades) == 1  # the documented default grade
@@ -181,7 +191,7 @@ class TestDeferredSubmission:
 
 
 # ----------------------------------------------------------------------
-# determinism + batched/legacy equivalence (the differential contract)
+# determinism + golden equivalence (the differential contract)
 # ----------------------------------------------------------------------
 class TestScenarioDeterminism:
     def test_same_spec_same_seed_byte_identical_report(self):
@@ -194,11 +204,10 @@ class TestScenarioDeterminism:
         second = run_scenario(tiny_scenario(seed=1))
         assert first.to_json() != second.to_json()
 
-    def test_batched_and_legacy_paths_agree(self):
-        batched = run_scenario(tiny_scenario(), batch=True).to_dict()
-        legacy = run_scenario(tiny_scenario(), batch=False).to_dict()
-        assert batched.pop("batch") is True and legacy.pop("batch") is False
-        assert batched == legacy
+    def test_batched_and_legacy_paths_agree(self, golden, sha256):
+        # The digest is the report both paths produced when both existed.
+        report = run_scenario(tiny_scenario())
+        assert sha256(report.to_json()) == golden["differential"]["tiny"]
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_library_scenarios_deterministic_at_small_scale(self, name):
@@ -206,22 +215,21 @@ class TestScenarioDeterminism:
         spec_b = build_scenario(name, scale=120, seed=2)
         assert run_scenario(spec_a).to_json() == run_scenario(spec_b).to_json()
 
-    def test_mid_round_degradation_identical_across_batch_modes(self):
+    def test_mid_round_degradation_identical_across_batch_modes(self, golden, sha256):
         """A degradation window opening *mid-round* must not split paths.
 
         The window lands while tier waves and DeviceFlow deliveries are
         in flight, so the restore event interleaves with same-timestamp
         kernel work — exactly where the batched loop's draining order
-        could diverge from the legacy generator path.
+        could diverge from the per-device generator engine, whose report
+        the golden digest pins.
         """
         faults = [
             FaultSpec(kind="network_degradation", at=30.0, until=120.0, factor=0.05),
             FaultSpec(kind="network_degradation", at=60.0, until=90.0, factor=0.5),
         ]
-        batched = run_scenario(tiny_scenario(faults=faults), batch=True).to_dict()
-        legacy = run_scenario(tiny_scenario(faults=faults), batch=False).to_dict()
-        assert batched.pop("batch") is True and legacy.pop("batch") is False
-        assert batched == legacy
+        report = run_scenario(tiny_scenario(faults=faults))
+        assert sha256(report.to_json()) == golden["differential"]["tiny_mid_round_degradation"]
 
 
 # ----------------------------------------------------------------------
@@ -385,6 +393,22 @@ class TestFaultInjection:
 # CLI
 # ----------------------------------------------------------------------
 class TestCli:
+    def test_spec_file_with_unknown_field_exits_with_one_line(self, tmp_path):
+        from repro.scenarios.__main__ import main
+
+        data = tiny_scenario().to_dict()
+        data["batch"] = True
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", str(path)])
+        # A string code prints to stderr and exits with status 1.
+        code = excinfo.value.code
+        assert isinstance(code, str)
+        assert code == f"{path}: batch: unknown field; known: " + ", ".join(
+            ScenarioSpec.__dataclass_fields__
+        )
+
     def test_list_show_run(self, capsys, tmp_path):
         from repro.scenarios.__main__ import main
 

@@ -5,8 +5,9 @@ The contracts proved here are the PR's acceptance criteria:
 * recording is invisible — a traced run's report is byte-identical to
   the untraced one (the tracer never touches a random stream or the
   event queue);
-* span trees are execution-order independent — the batched and legacy
-  paths assemble byte-identical traces (stable ``(task, round,
+* span trees are execution-order independent — the traces match the
+  golden digests recorded when the per-device generator engine and the
+  wave path assembled byte-identical traces (stable ``(task, round,
   device)``-keyed span ids);
 * the trace *reconciles* with the report — under a lossy channel the
   upload/drop spans sum exactly to the transport KPI totals;
@@ -31,14 +32,14 @@ from repro.scenarios import ScenarioRunner, build_scenario
 from repro.scenarios.__main__ import main as scenarios_main
 
 
-def traced_run(name: str, scale: int = 60, seed: int = 1, batch: bool = True):
+def traced_run(name: str, scale: int = 60, seed: int = 1):
     """Run a library scenario with a tracer armed.
 
     Returns ``(runner, report, trace)`` — the runner gives tests access
     to the per-task :class:`TaskResult` ledger on the platform.
     """
     spec = build_scenario(name, scale=scale, seed=seed)
-    runner = ScenarioRunner(spec, batch=batch, tracer=Tracer())
+    runner = ScenarioRunner(spec, tracer=Tracer())
     report = runner.run()
     return runner, report, runner.trace()
 
@@ -105,18 +106,17 @@ class TestTracingIsInvisible:
     @pytest.mark.parametrize("name", ["lossy_uplink", "flash_crowd"])
     def test_traced_report_byte_identical_to_untraced(self, name):
         spec = build_scenario(name, scale=60, seed=1)
-        plain = ScenarioRunner(spec, batch=True).run()
+        plain = ScenarioRunner(spec).run()
         spec2 = build_scenario(name, scale=60, seed=1)
-        traced = ScenarioRunner(spec2, batch=True, tracer=Tracer()).run()
+        traced = ScenarioRunner(spec2, tracer=Tracer()).run()
         assert json.dumps(plain.to_dict(), sort_keys=True) == json.dumps(
             traced.to_dict(), sort_keys=True
         )
 
     @pytest.mark.parametrize("name", ["lossy_uplink", "flash_crowd"])
-    def test_batched_and_legacy_traces_byte_identical(self, name):
-        _, _, batched = traced_run(name, batch=True)
-        _, _, legacy = traced_run(name, batch=False)
-        assert batched.to_json() == legacy.to_json()
+    def test_batched_and_legacy_traces_byte_identical(self, name, golden, sha256):
+        _, _, trace = traced_run(name)
+        assert sha256(trace.to_json()) == golden["differential"][f"trace_{name}"]
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +230,7 @@ class TestRunProfiler:
     def test_profiled_run_accounts_subsystems(self):
         spec = build_scenario("lossy_uplink", scale=60, seed=1)
         with RunProfiler() as profiler:
-            ScenarioRunner(spec, batch=True).run()
+            ScenarioRunner(spec).run()
         rows = profiler.rows()
         categories = {row.category for row in rows}
         assert "kernel.step_batch" in categories
@@ -243,10 +243,10 @@ class TestRunProfiler:
 
     def test_profiled_run_report_identical(self):
         spec = build_scenario("lossy_uplink", scale=60, seed=1)
-        plain = ScenarioRunner(spec, batch=True).run()
+        plain = ScenarioRunner(spec).run()
         spec2 = build_scenario("lossy_uplink", scale=60, seed=1)
         with RunProfiler():
-            profiled = ScenarioRunner(spec2, batch=True).run()
+            profiled = ScenarioRunner(spec2).run()
         assert json.dumps(plain.to_dict(), sort_keys=True) == json.dumps(
             profiled.to_dict(), sort_keys=True
         )

@@ -5,7 +5,8 @@ guarantees the robustness work leans on:
 
 (a) a lossless :class:`ChannelModel` leaves the scenario report
     byte-identical to running with no channel at all,
-(b) lossy runs are byte-identical batched vs legacy and across repeats,
+(b) lossy runs are byte-identical across repeats and to the golden
+    digest recorded when the per-device and wave engines agreed,
 (c) duplicated delivery + the ingestion dedup table is fold-equivalent
     to exactly-once delivery, and
 (d) a deadline-closed round aggregates exactly the partial fold over
@@ -48,13 +49,12 @@ from repro.scenarios.__main__ import main as scenarios_main
 from repro.simkernel import RandomStreams, Simulator
 
 
-def transport_scenario(transport=None, faults=(), batch=True, seed=3) -> ScenarioSpec:
+def transport_scenario(transport=None, faults=(), seed=3) -> ScenarioSpec:
     """Two tenants — direct numeric uplink + DeviceFlow background."""
     return ScenarioSpec(
         name="transport-diff",
         seed=seed,
         horizon_s=600.0,
-        batch=batch,
         transport=transport,
         faults=list(faults),
         tenants=[
@@ -96,10 +96,8 @@ LOSSY_FAULTS = (
 
 
 def comparable(report) -> dict:
-    """Report as plain data minus the execution-mode marker."""
-    data = report.to_dict()
-    data.pop("batch")
-    return data
+    """Report as plain data."""
+    return report.to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -331,17 +329,10 @@ class TestTransportDifferential:
         assert comparable(lossless) == comparable(plain)
         assert comparable(far_deadline) == comparable(plain)
 
-    def test_lossy_run_identical_batched_vs_legacy_and_across_repeats(self):
-        batched = run_scenario(
-            transport_scenario(transport=LOSSY, faults=LOSSY_FAULTS, batch=True)
-        )
-        legacy = run_scenario(
-            transport_scenario(transport=LOSSY, faults=LOSSY_FAULTS, batch=False)
-        )
-        repeat = run_scenario(
-            transport_scenario(transport=LOSSY, faults=LOSSY_FAULTS, batch=True)
-        )
-        assert comparable(batched) == comparable(legacy)
+    def test_lossy_run_identical_batched_vs_legacy_and_across_repeats(self, golden, sha256):
+        batched = run_scenario(transport_scenario(transport=LOSSY, faults=LOSSY_FAULTS))
+        repeat = run_scenario(transport_scenario(transport=LOSSY, faults=LOSSY_FAULTS))
+        assert sha256(batched.to_json()) == golden["differential"]["transport_lossy"]
         assert batched.to_json() == repeat.to_json()
         # The channel visibly perturbed the run.
         kpis = batched.tenants["up"]
