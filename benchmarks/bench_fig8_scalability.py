@@ -3,9 +3,9 @@
 Also validates the SimDC closed-form round model against an actual
 event-driven round of the logical tier at a mid scale, so the sweep's
 numbers are anchored to the executable platform rather than free-floating
-constants — and measures the batched/sharded wave schedule against the
+constants — and measures the batched wave schedule against the
 per-device reference model (:mod:`repro.reference`) at the paper's
-100k-device scale (``test_fig8_batched_sharded_speedup``).
+100k-device scale (``test_fig8_batched_speedup``).
 """
 
 import time
@@ -23,7 +23,6 @@ from repro.cluster import (
     LogicalSimulation,
     NodeSpec,
     ResourceBundle,
-    ShardedLogicalSimulation,
 )
 from repro.data.avazu import DeviceDataset
 from repro.experiments import format_fig8, run_fig8_scalability
@@ -63,49 +62,31 @@ def _sweep_plan(n_devices: int, total_cores: int) -> GradeExecutionPlan:
     )
 
 
-def event_driven_round_time(
-    n_devices: int,
-    total_cores: int = 200,
-    n_shards: int = 1,
-    batch: bool = False,
-) -> float:
+def event_driven_round_time(n_devices: int, total_cores: int = 200, batch: bool = False) -> float:
     """One actual simulated round of the logical tier at ``n_devices``.
 
-    ``batch=False, n_shards=1`` (the default) is the per-device reference
-    model on the per-event kernel loop: every device advances through
-    generator processes and two heap events.  ``batch=True`` switches to
-    batched kernel stepping plus the pooled columnar round; ``n_shards > 1`` additionally partitions the
-    plan over multiprocessing workers.  All configurations report the same
-    simulated round time — the sharded path is bit-identical at
-    ``n_shards=1`` and metric-identical beyond.
+    ``batch=False`` (the default) is the per-device reference model on the
+    per-event kernel loop: every device advances through generator
+    processes and two heap events.  ``batch=True`` runs the wave schedule
+    with batched kernel stepping and the pooled columnar round (no
+    per-device sink).  Both report the same simulated round time.
     """
     nodes = [NodeSpec(cpus=20, memory_gb=30)] * (total_cores // 20)
     cost = _sweep_cost_model(total_cores)
-    if batch or n_shards > 1:
-        sharded = ShardedLogicalSimulation(nodes, cost, n_shards=n_shards)
-        result = sharded.run_rounds(
-            [_sweep_plan(n_devices, total_cores)],
-            n_rounds=1,
-            model_bytes=0,
-            collect_outcomes=False,
-        )
-        # The shard clock starts at 0, so the last completion time equals
-        # the reference model's prepare + round elapsed measure.
-        return result.rounds[0].finished_at
-
     sim = Simulator()
-    cluster = K8sCluster(nodes)
-    logical = ReferenceLogicalSimulation(sim, cluster, cost)
+    tier = LogicalSimulation if batch else ReferenceLogicalSimulation
+    logical = tier(sim, K8sCluster(nodes), cost)
     plan = _sweep_plan(n_devices, total_cores)
+    sink = None if batch else CallbackSink(lambda o: None)
 
     def run():
         start = sim.now
         yield sim.process(logical.prepare([plan]))
-        yield sim.process(logical.run_round(1, None, 0.0, 0, CallbackSink(lambda o: None)))
+        yield sim.process(logical.run_round(1, None, 0.0, 0, sink))
         return sim.now - start
 
     proc = sim.process(run())
-    sim.run()
+    sim.run(batch=batch)
     logical.teardown()
     return proc.result
 
@@ -209,35 +190,30 @@ def measure_numeric_sweep_speedup(
 
 
 def measure_sweep_speedup(n_devices: int, total_cores: int = 200, repeats: int = 2) -> dict:
-    """Wall-clock comparison of the reference (legacy) vs batched/sharded sweep.
+    """Wall-clock comparison of the reference (legacy) vs batched sweep.
 
     Plain-function form so ``ci_gate.py`` can reuse it.  Returns wall times
     (best of ``repeats``), the simulated round times (for the identity
-    check) and the speedups of each new configuration over legacy.
+    check) and the batched path's speedup over legacy.
     """
 
-    def best(**kwargs) -> tuple[float, float]:
+    def best(batch: bool) -> tuple[float, float]:
         walls, round_time = [], None
         for _ in range(repeats):
             start = time.perf_counter()
-            round_time = event_driven_round_time(n_devices, total_cores, **kwargs)
+            round_time = event_driven_round_time(n_devices, total_cores, batch=batch)
             walls.append(time.perf_counter() - start)
         return min(walls), round_time
 
-    legacy_wall, legacy_round = best()
-    batched_wall, batched_round = best(batch=True, n_shards=1)
-    sharded_wall, sharded_round = best(batch=True, n_shards=4)
+    legacy_wall, legacy_round = best(batch=False)
+    batched_wall, batched_round = best(batch=True)
     return {
         "n_devices": n_devices,
         "legacy_wall_s": legacy_wall,
         "batched_wall_s": batched_wall,
-        "sharded4_wall_s": sharded_wall,
         "legacy_round_s": legacy_round,
         "batched_round_s": batched_round,
-        "sharded4_round_s": sharded_round,
         "batched_speedup": legacy_wall / batched_wall,
-        "sharded4_speedup": legacy_wall / sharded_wall,
-        "best_speedup": legacy_wall / min(batched_wall, sharded_wall),
     }
 
 
@@ -288,30 +264,22 @@ def test_fig8_numeric_batched_speedup(persist_result):
     )
 
 
-def test_fig8_batched_sharded_speedup(persist_result):
-    """Batched stepping + sharding beat the legacy path at the 100k sweep.
+def test_fig8_batched_speedup(persist_result):
+    """The batched wave schedule beats the legacy path at the 100k sweep.
 
     At full scale this is the paper's 100k-device non-numeric sweep; the
-    default CI scale keeps the same shape at 20k devices.  On multi-core
-    runners ``n_shards=4`` wins outright; on single-core containers the
-    fork overhead makes the in-process batched path the best configuration,
-    so the >=5x gate applies to the best of the two (both are reported).
+    default CI scale keeps the same shape at 20k devices.
     """
     scale = 100_000 if full_scale() else 20_000
     stats = measure_sweep_speedup(scale)
-    # The fast paths must not change the simulated result: n_shards=1 is
-    # bit-identical, n_shards=4 metric-identical.
+    # The fast path must not change the simulated result.
     assert stats["batched_round_s"] == stats["legacy_round_s"]
-    assert stats["sharded4_round_s"] == stats["legacy_round_s"]
-    assert stats["best_speedup"] >= 5.0
+    assert stats["batched_speedup"] >= 5.0
     persist_result(
-        "fig8_batched_sharded_speedup",
+        "fig8_batched_speedup",
         f"Fig. 8 non-numeric sweep at n={scale} (simulated round "
         f"{stats['legacy_round_s']:.1f}s)\n"
-        f"  legacy per-event   : {stats['legacy_wall_s'] * 1e3:7.1f} ms\n"
-        f"  batched, 1 shard   : {stats['batched_wall_s'] * 1e3:7.1f} ms "
-        f"({stats['batched_speedup']:.1f}x)\n"
-        f"  batched, 4 shards  : {stats['sharded4_wall_s'] * 1e3:7.1f} ms "
-        f"({stats['sharded4_speedup']:.1f}x)\n"
-        f"  best speedup       : {stats['best_speedup']:.1f}x (target >=5x)",
+        f"  legacy per-event : {stats['legacy_wall_s'] * 1e3:7.1f} ms\n"
+        f"  batched waves    : {stats['batched_wall_s'] * 1e3:7.1f} ms "
+        f"({stats['batched_speedup']:.1f}x, target >=5x)",
     )

@@ -66,8 +66,8 @@ class GradeExecutionPlan:
             raise ValueError("n_actors must be positive")
         # One construction-time pass: validate grade homogeneity (the
         # wave schedule relies on it to broadcast durations without
-        # touching assignment objects) and pre-sum staged bytes so sharded
-        # workers never iterate the device list either.
+        # touching assignment objects) and pre-sum staged bytes so
+        # ``prepare`` never iterates the device list either.
         total_bytes = 0
         for assignment in self.assignments:
             if assignment.grade != self.grade:
@@ -114,8 +114,9 @@ class ColumnarOutcomes:
     ``plan.assignments[pos]`` (emission position equals assignment index
     under the wave-major round-robin layout).  Numeric plans additionally
     carry the stacked model updates (``update_weights[pos]`` /
-    ``update_biases[pos]``), which is what per-shard FedAvg partials fold
-    without ever constructing :class:`~repro.ml.fedavg.ModelUpdate`
+    ``update_biases[pos]``), which FedAvg partials
+    (:meth:`~repro.ml.fedavg.FedAvgPartial.from_arrays`) fold without
+    ever constructing :class:`~repro.ml.fedavg.ModelUpdate`
     objects.  Blocks materialize to :class:`DeviceRoundOutcome` objects
     lazily — the 100k scalability sweeps never pay for 100k dataclass
     constructions.
@@ -224,18 +225,6 @@ class RoundResult:
         parts = [np.array([o.finished_at for o in self.outcomes], dtype=np.float64)]
         parts.extend(block.finished_at for block in self.columnar)
         return np.concatenate(parts)
-
-    def payload_bytes_total(self) -> int:
-        """Bytes uploaded this round, without materializing columnar blocks.
-
-        Eager outcomes carry their true per-device payload (numeric runs
-        report the model update's size); columnar blocks are
-        grade-homogeneous, so every device uploaded the block's fixed
-        payload (the model-update size for numeric plans).
-        """
-        total = sum(o.payload_bytes for o in self.outcomes)
-        total += sum(len(block) * block.payload_bytes for block in self.columnar)
-        return total
 
     def fedavg_inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Columnar ``(weights, biases, n_samples)`` of every numeric update.
@@ -504,8 +493,8 @@ class LogicalSimulation:
         emitting outcomes in completion order; without one the
         entire plan becomes a single pooled deadline at its last completion
         time plus a columnar block — no per-device objects, no per-device
-        events, and (in sharded workers) no per-device Python at all beyond
-        the vectorized wave math.  A ``block_sink`` receives that block via
+        events, and no per-device Python at all beyond the vectorized wave
+        math.  A ``block_sink`` receives that block via
         ``accept_block`` the moment it is recorded (the cloud ingests the
         whole round in one fold).
         """

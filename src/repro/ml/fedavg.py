@@ -1,20 +1,22 @@
 """FedAvg aggregation (McMahan et al., 2017) as used by the paper.
 
 Besides the flat :func:`fedavg`, this module implements *partial*
-aggregation for sharded execution: each worker folds its devices' updates
-into a compact :class:`FedAvgPartial` — a ``(weighted_sum, total_samples)``
-pair — and the parent merges partials into the new global model.
+aggregation: a group of updates folds into a compact
+:class:`FedAvgPartial` — a ``(weighted_sum, total_samples)`` pair — and
+partials merge into the new global model.  The cloud aggregation service
+folds every columnar update block into one partial this way and merges
+them with its streamed scalar updates at aggregation time.
 
 Partition invariance
 --------------------
-Floating-point addition is not associative, so naively summing per-shard
-sums would make the global weights depend on the shard layout.  The
+Floating-point addition is not associative, so naively summing per-block
+sums would make the global weights depend on how updates were grouped.  The
 weighted sum here is therefore accumulated *exactly*: every per-update
 product ``n_k * w_k`` is folded into a small error-free expansion of
 float64 components (Knuth two-sum, after Shewchuk's adaptive-precision
 arithmetic), merging partials concatenates exact values, and the final
 per-dimension rounding happens once via ``math.fsum`` (correctly rounded).
-Any partition of the same update set — including the trivial one-shard
+Any partition of the same update set — including the trivial one-group
 partition used by the flat :func:`fedavg` — therefore produces
 bit-identical global weights.
 """
@@ -93,7 +95,7 @@ class _ExactVectorSum:
     so far — each :meth:`add` threads the new vector through the existing
     components with TwoSum, which never loses a bit.  Because the value is
     exact, it is independent of insertion order and of how the summands
-    were grouped, which is what makes sharded FedAvg partition-invariant.
+    were grouped, which is what makes partial FedAvg partition-invariant.
     """
 
     __slots__ = ("components",)
@@ -192,12 +194,12 @@ class _ExactVectorSum:
 
 @dataclass
 class FedAvgPartial:
-    """Per-shard fold of a set of updates: exact weighted sum + counters.
+    """Fold of one group of updates: exact weighted sum + counters.
 
     ``components`` is an ``(m, dim + 1)`` float64 array — the error-free
     expansion of ``sum_k n_k * [w_k | b_k]`` (bias in the last column).
     ``dim`` is ``-1`` for an empty partial (no updates seen yet), so empty
-    shards merge cleanly with any weight shape.
+    groups merge cleanly with any weight shape.
     """
 
     components: np.ndarray
@@ -276,7 +278,7 @@ class FedAvgPartial:
 
     @staticmethod
     def merge(partials: Sequence["FedAvgPartial"]) -> FedAvgPartial:
-        """Fold shard partials into one (exact, hence order-independent)."""
+        """Fold partials into one (exact, hence order-independent)."""
         filled = [p for p in partials if p.dim >= 0]
         if not filled:
             return FedAvgPartial.empty()
@@ -315,7 +317,7 @@ def fedavg(updates: Iterable[ModelUpdate]) -> tuple[np.ndarray, float]:
     Implements ``w = sum_k p_k w_k`` with ``p_k`` proportional to each
     client's dataset size, the exact optimisation objective of §II-A.
     Computed through :class:`FedAvgPartial`, so a flat call is bit-identical
-    to merging per-shard partials over any partition of ``updates``.
+    to merging partials over any partition of ``updates``.
     """
     updates = list(updates)
     if not updates:
@@ -328,9 +330,10 @@ class FedAvgAggregator:
 
     Updates stream in (possibly shaped by DeviceFlow); :meth:`aggregate`
     folds everything received so far into a new global model and resets
-    the buffer for the next round.  Sharded workers call :meth:`partial`
-    instead and ship the compact result to the parent, which folds shard
-    partials with :meth:`merge`.
+    the buffer for the next round.  :meth:`partial` folds the buffer into
+    a compact partial instead, and :meth:`merge` folds partials — the
+    service's scalar buffer plus one per columnar block — into the
+    global model.
     """
 
     def __init__(self) -> None:
@@ -367,10 +370,10 @@ class FedAvgAggregator:
         return weights, bias, count
 
     def partial(self) -> FedAvgPartial:
-        """Fold the buffer into a shippable partial and clear it.
+        """Fold the buffer into a partial and clear it.
 
         Unlike :meth:`aggregate` this is total: an empty buffer yields the
-        empty partial, so shards without numeric devices merge cleanly.
+        empty partial, which merges as the identity.
         """
         result = FedAvgPartial.from_updates(self._pending)
         self._pending.clear()
@@ -378,7 +381,7 @@ class FedAvgAggregator:
 
     @staticmethod
     def merge(partials: Sequence[FedAvgPartial]) -> tuple[np.ndarray, float, int]:
-        """Merge shard partials; returns ``(weights, bias, n_updates)``.
+        """Merge partials; returns ``(weights, bias, n_updates)``.
 
         Bit-identical to :meth:`aggregate` over the concatenated update
         set, for *any* partition of the updates into partials.

@@ -27,6 +27,8 @@ from dataclasses import asdict, dataclass, field
 from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING
 
+from repro.plaindata import from_plain
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cloud.monitor import Monitor, MonitorEvent
 
@@ -171,8 +173,8 @@ class AlarmRule:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> AlarmRule:
-        return cls(**data)
+    def from_dict(cls, data: dict, path: str = "") -> AlarmRule:
+        return from_plain(cls, data, path)
 
 
 class _Series:

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from repro.cluster.resources import NodeSpec
+from repro.plaindata import from_plain
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cloud.monitor import Monitor, MonitorEvent
@@ -81,8 +82,8 @@ class AutoscaleSpec:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> AutoscaleSpec:
-        return cls(**data)
+    def from_dict(cls, data: dict, path: str = "") -> AutoscaleSpec:
+        return from_plain(cls, data, path)
 
 
 class AutoscalePolicy:

@@ -1,8 +1,7 @@
 """RunProfiler: wall-clock accounting per simulator subsystem.
 
-The ROADMAP's next scaling steps (whole-platform sharding, the 1M-device
-milestone) need the *measured* bottleneck, not the guessed one.  This
-profiler patches a fixed set of synchronous hot-path methods — kernel
+Speed work should start from the *measured* bottleneck, not the guessed
+one.  This profiler patches a fixed set of synchronous hot-path methods — kernel
 stepping, wave scheduling, numeric block execution, transport routing,
 cloud ingestion, aggregation folds, alarm evaluation — and accounts real
 ``perf_counter`` time to each, with *self time* (a method's elapsed time

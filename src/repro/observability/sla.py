@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from repro.observability.alarms import AlarmEngine, AlarmRule, signal_exists
+from repro.plaindata import from_plain
 
 #: Final-report metrics: ``<kpi>_<stat>`` over the StatSummary KPIs ...
 _STAT_KPIS = ("queue_wait", "makespan", "turnaround", "round_duration")
@@ -129,8 +130,8 @@ class SLASpec:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> SLASpec:
-        return cls(**data)
+    def from_dict(cls, data: dict, path: str = "") -> SLASpec:
+        return from_plain(cls, data, path)
 
 
 def attach_live_slas(engine: AlarmEngine, slas: list[SLASpec]) -> int:

@@ -11,7 +11,7 @@ strategy state and deterministic seeds.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -36,7 +36,8 @@ from repro.deviceflow.strategy import (
     TimeIntervalStrategy,
 )
 from repro.ml.operators import standard_fl_flow
-from repro.observability import AlarmRule, AutoscaleSpec, SLASpec
+from repro.observability import AlarmRule, AutoscaleSpec, SLASpec, signal_exists
+from repro.plaindata import each, from_plain
 from repro.scheduler.task import GradeRequirement, TaskSpec
 from repro.simkernel.random import stable_hash
 
@@ -117,8 +118,8 @@ class PopulationSpec:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> PopulationSpec:
-        return cls(**data)
+    def from_dict(cls, data: dict, path: str = "") -> PopulationSpec:
+        return from_plain(cls, data, path)
 
 
 # ----------------------------------------------------------------------
@@ -179,8 +180,8 @@ class ArrivalSpec:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> ArrivalSpec:
-        return cls(**data)
+    def from_dict(cls, data: dict, path: str = "") -> ArrivalSpec:
+        return from_plain(cls, data, path)
 
 
 # ----------------------------------------------------------------------
@@ -234,8 +235,8 @@ class DispatchSpec:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> DispatchSpec:
-        return cls(**data)
+    def from_dict(cls, data: dict, path: str = "") -> DispatchSpec:
+        return from_plain(cls, data, path)
 
 
 # ----------------------------------------------------------------------
@@ -267,8 +268,8 @@ class GradeSpec:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> GradeSpec:
-        return cls(**data)
+    def from_dict(cls, data: dict, path: str = "") -> GradeSpec:
+        return from_plain(cls, data, path)
 
 
 @dataclass
@@ -338,17 +339,16 @@ class TenantSpec:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> TenantSpec:
-        data = dict(data)
-        if "grades" in data:
-            data["grades"] = [GradeSpec.from_dict(g) for g in data["grades"]]
-        if "arrival" in data:
-            data["arrival"] = ArrivalSpec.from_dict(data["arrival"])
-        if "dispatch" in data:
-            data["dispatch"] = DispatchSpec.from_dict(data["dispatch"])
-        if "slas" in data:
-            data["slas"] = [SLASpec.from_dict(s) for s in data["slas"]]
-        return cls(**data)
+    def from_dict(cls, data: dict, path: str = "") -> TenantSpec:
+        return from_plain(
+            cls,
+            data,
+            path,
+            grades=each(GradeSpec),
+            arrival=ArrivalSpec.from_dict,
+            dispatch=DispatchSpec.from_dict,
+            slas=each(SLASpec),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -437,8 +437,8 @@ class FaultSpec:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> FaultSpec:
-        return cls(**data)
+    def from_dict(cls, data: dict, path: str = "") -> FaultSpec:
+        return from_plain(cls, data, path)
 
 
 # ----------------------------------------------------------------------
@@ -494,8 +494,8 @@ class TransportSpec:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> TransportSpec:
-        return cls(**data)
+    def from_dict(cls, data: dict, path: str = "") -> TransportSpec:
+        return from_plain(cls, data, path)
 
 
 # ----------------------------------------------------------------------
@@ -579,10 +579,18 @@ class ScenarioSpec:
         alarm_names = [a.name for a in self.alarms]
         if len(set(alarm_names)) != len(alarm_names):
             raise ValueError(f"duplicate alarm rule names: {alarm_names}")
-        for rule in self.alarms:
+        for index, rule in enumerate(self.alarms):
             if rule.tenant and rule.tenant not in names:
                 raise ValueError(
                     f"alarm {rule.name!r} watches unknown tenant {rule.tenant!r}"
+                )
+            if not signal_exists(rule.signal):
+                raise ValueError(f"alarms[{index}].signal: unknown signal {rule.signal!r}")
+        for index, fault in enumerate(self.faults):
+            if fault.tenant and fault.tenant not in names:
+                raise ValueError(
+                    f"faults[{index}].tenant: unknown tenant {fault.tenant!r}; "
+                    f"known: {', '.join(names)}"
                 )
         for sla in self.slas:
             if sla.tenant and sla.tenant not in names:
@@ -618,23 +626,17 @@ class ScenarioSpec:
         """Build a spec from plain data (the inverse of :meth:`to_dict`).
 
         Raises ``ValueError`` naming the first key that is not a field,
-        e.g. ``batch: unknown field; known: name, tenants, ...``.
+        with its path, e.g. ``batch: unknown field; known: name, tenants,
+        ...`` or ``tenants[0].foo: unknown field; known: name, grades, ...``.
         """
-        known = [f.name for f in fields(cls)]
-        for key in data:
-            if key not in known:
-                raise ValueError(f"{key}: unknown field; known: {', '.join(known)}")
-        data = dict(data)
-        data["tenants"] = [TenantSpec.from_dict(t) for t in data.get("tenants", [])]
-        if "population" in data:
-            data["population"] = PopulationSpec.from_dict(data["population"])
-        data["faults"] = [FaultSpec.from_dict(f) for f in data.get("faults", [])]
-        if data.get("transport") is not None:
-            data["transport"] = TransportSpec.from_dict(data["transport"])
-        if "alarms" in data:
-            data["alarms"] = [AlarmRule.from_dict(a) for a in data["alarms"]]
-        if "slas" in data:
-            data["slas"] = [SLASpec.from_dict(s) for s in data["slas"]]
-        if data.get("autoscale") is not None:
-            data["autoscale"] = AutoscaleSpec.from_dict(data["autoscale"])
-        return cls(**data)
+        return from_plain(
+            cls,
+            data,
+            tenants=each(TenantSpec),
+            population=PopulationSpec.from_dict,
+            faults=each(FaultSpec),
+            transport=TransportSpec.from_dict,
+            alarms=each(AlarmRule),
+            slas=each(SLASpec),
+            autoscale=AutoscaleSpec.from_dict,
+        )

@@ -1,10 +1,10 @@
 """Property-based tests for FedAvg partial aggregation.
 
-The sharded logical tier relies on one invariant: folding any partition
-of an update set into per-shard partials and merging them must produce
-*bit-identical* results to the flat :func:`repro.ml.fedavg.fedavg` call —
-for any shard boundaries, any shard order, empty shards, and zero-sample
-updates.  Hypothesis hunts for partitions that break it.
+The cloud aggregation service relies on one invariant: folding any
+partition of an update set into partials (one per columnar block, plus
+the streamed scalar buffer) and merging them must produce *bit-identical*
+results to the flat :func:`repro.ml.fedavg.fedavg` call — for any group
+boundaries, any group order, empty groups, and zero-sample updates.  Hypothesis hunts for partitions that break it.
 """
 
 import numpy as np

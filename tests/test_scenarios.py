@@ -8,6 +8,10 @@ wave-scheduled path agreed on every KPI.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +119,56 @@ class TestSpecSerialization:
         message = str(excinfo.value)
         assert message.startswith("batch: unknown field; known: name, tenants, ")
         assert "\n" not in message
+
+    @pytest.mark.parametrize(
+        "path, known",
+        [
+            (["batch"], "name, tenants, "),
+            (["tenants", 0, "foo"], "name, grades, arrival, "),
+            (["tenants", 0, "grades", 0, "foo"], "grade, n_devices, bundles, "),
+        ],
+        ids=["top-level", "tenant", "tenant-grade"],
+    )
+    def test_from_dict_rejects_unknown_keys_with_their_path(self, path, known):
+        data = tiny_scenario().to_dict()
+        parent = data
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = 1
+        with pytest.raises(ValueError) as excinfo:
+            ScenarioSpec.from_dict(data)
+        where = path[0] + "".join(
+            f"[{step}]" if isinstance(step, int) else f".{step}" for step in path[1:]
+        )
+        assert str(excinfo.value).startswith(f"{where}: unknown field; known: {known}")
+
+    def test_from_dict_rejects_missing_required_field(self):
+        data = tiny_scenario().to_dict()
+        del data["tenants"][1]["name"]
+        with pytest.raises(ValueError, match=r"^tenants\[1\]\.name: missing required field$"):
+            ScenarioSpec.from_dict(data)
+
+    def test_fault_naming_unknown_tenant_rejected(self):
+        data = build_scenario("lossy_uplink", scale=300).to_dict()
+        data["faults"][0]["tenant"] = "uplnk"
+        with pytest.raises(ValueError) as excinfo:
+            ScenarioSpec.from_dict(data)
+        assert str(excinfo.value) == (
+            "faults[0].tenant: unknown tenant 'uplnk'; known: uplink, telemetry"
+        )
+
+    def test_alarm_on_unknown_signal_rejected(self):
+        data = build_scenario("lossy_uplink", scale=300).to_dict()
+        data["alarms"][0]["signal"] = "retry_rat_mean"
+        with pytest.raises(ValueError) as excinfo:
+            ScenarioSpec.from_dict(data)
+        assert str(excinfo.value) == "alarms[0].signal: unknown signal 'retry_rat_mean'"
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_library_scenarios_pass_validation(self, name):
+        # Building runs every cross-field check: tenants, alarm signals,
+        # fault tenants, SLA metrics, the autoscale alarm.
+        assert build_scenario(name).name == name
 
     def test_from_dict_respects_field_defaults(self):
         tenant = TenantSpec.from_dict({"name": "defaults-only"})
@@ -408,6 +462,24 @@ class TestCli:
         assert code == f"{path}: batch: unknown field; known: " + ", ".join(
             ScenarioSpec.__dataclass_fields__
         )
+
+    def test_spec_file_with_unknown_fault_tenant_exits_with_one_line(self, tmp_path):
+        data = build_scenario("lossy_uplink", scale=300).to_dict()
+        data["faults"][0]["tenant"] = "uplnk"
+        path = tmp_path / "lossy.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.scenarios", "run", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode != 0
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == [
+            f"{path}: faults[0].tenant: unknown tenant 'uplnk'; known: uplink, telemetry"
+        ]
 
     def test_list_show_run(self, capsys, tmp_path):
         from repro.scenarios.__main__ import main
