@@ -80,11 +80,6 @@ class K8sCluster:
         """Currently unallocated memory."""
         return sum(node.free_memory_gb for node in self.nodes.values())
 
-    def can_allocate(self, bundles: Sequence[ResourceBundle]) -> bool:
-        """Feasibility check without committing (uses a trial placement)."""
-        trial = self._place(bundles, PlacementStrategy.PACK, commit=False)
-        return trial is not None
-
     # ------------------------------------------------------------------
     # gang allocation
     # ------------------------------------------------------------------
@@ -94,7 +89,7 @@ class K8sCluster:
         strategy: PlacementStrategy = PlacementStrategy.PACK,
     ) -> PlacementGroup | None:
         """Atomically place every bundle, or place nothing and return None."""
-        placements = self._place(bundles, strategy, commit=True)
+        placements = self._place(bundles, strategy)
         if placements is None:
             return None
         group = PlacementGroup(
@@ -119,9 +114,8 @@ class K8sCluster:
         self,
         bundles: Sequence[ResourceBundle],
         strategy: PlacementStrategy,
-        commit: bool,
     ) -> list[tuple[WorkerNode, ResourceBundle]] | None:
-        """Find (and optionally commit) a node for every bundle.
+        """Find and commit a node for every bundle.
 
         Placement works against shadow free-capacity counters so a failed
         gang attempt leaves the cluster untouched.
@@ -162,7 +156,6 @@ class K8sCluster:
             shadow_take(target, bundle)
             chosen.append((self.nodes[target], bundle))
 
-        if commit:
-            for node, bundle in chosen:
-                node.allocate(bundle)
+        for node, bundle in chosen:
+            node.allocate(bundle)
         return chosen

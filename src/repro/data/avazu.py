@@ -46,6 +46,29 @@ _FIELD_CARDINALITIES: dict[str, int] = {
 }
 
 
+def _zipf_cdf(cardinality: int) -> np.ndarray:
+    """Cumulative Zipf popularity of ``cardinality`` category ids.
+
+    Categorical fields in click logs are heavily skewed toward a few
+    frequent values.  The arithmetic is exactly that of
+    ``Generator.choice`` given these Zipf probabilities, so
+    ``cdf.searchsorted(u, side="right")`` on the same uniforms ``u``
+    returns the ids it would.
+    """
+    ranks = np.arange(1, cardinality + 1, dtype=float)
+    probs = 1.0 / ranks
+    probs /= probs.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+#: Zipf CDF per field cardinality, built once at import.
+_ZIPF_CDFS: dict[int, np.ndarray] = {
+    cardinality: _zipf_cdf(cardinality) for cardinality in set(_FIELD_CARDINALITIES.values())
+}
+
+
 @dataclass
 class DeviceDataset:
     """The local data of one simulated device.
@@ -138,6 +161,45 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _draw_shards(
+    rng: np.random.Generator,
+    sizes: np.ndarray,
+    vocab: dict[str, np.ndarray],
+    true_weights: np.ndarray,
+    shard_biases: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Features, and labels if ``shard_biases`` is given, of consecutive shards.
+
+    One ``rng.random`` call supplies every uniform.  Shard ``i`` of
+    ``sizes[i]`` rows owns the next block of the stream: one column of
+    ``sizes[i]`` uniforms per field in :data:`AVAZU_FIELDS` order, then
+    (with labels) ``sizes[i]`` label uniforms.  Label ``j`` of shard ``i``
+    is a Bernoulli draw of the planted logistic model with logit bias
+    ``shard_biases[i]``.  Returns ``(n_rows, n_fields)`` int32 features
+    and ``(n_rows,)`` int8 labels (``None`` without ``shard_biases``).
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    n_rows = int(sizes.sum())
+    width = len(AVAZU_FIELDS) + (shard_biases is not None)
+    starts = np.cumsum(sizes) - sizes
+    uniforms = rng.random(width * n_rows)
+    # Row r of the shard starting at row s reads field f at
+    # width * s + f * size + (r - s) of the stream.
+    position = np.repeat((width - 1) * starts, sizes) + np.arange(n_rows)
+    stride = np.repeat(sizes, sizes)
+    features = np.empty((n_rows, len(AVAZU_FIELDS)), dtype=np.int32)
+    for column, fld in enumerate(AVAZU_FIELDS):
+        table = vocab[fld]
+        ids = _ZIPF_CDFS[len(table)].searchsorted(uniforms[position], side="right")
+        features[:, column] = table[ids]
+        position += stride
+    if shard_biases is None:
+        return features, None
+    logits = true_weights[features].sum(axis=1) + np.repeat(shard_biases, sizes)
+    labels = (uniforms[position] < _sigmoid(logits)).astype(np.int8)
+    return features, labels
+
+
 class SyntheticAvazu:
     """Generator of device-partitioned synthetic CTR data.
 
@@ -208,6 +270,16 @@ class SyntheticAvazu:
     ) -> FederatedDataset:
         """Create the federated dataset.
 
+        Draw order: one seeded stream yields the ground truth, a 4000-row
+        calibration sample (ten field columns), the device biases (unless
+        given), the Poisson shard sizes, and then every shard's uniforms
+        in one block: the devices in id order, then the test shard.  Each
+        shard consumes one column of uniforms per field and then one
+        column of label uniforms, the order of a per-device
+        ``rng.choice(p=...)`` loop, so the shards are bit-identical to
+        that loop's.  The shards are row views of one feature array and
+        one label array, and the test shard is the last view.
+
         Parameters
         ----------
         device_biases:
@@ -220,40 +292,39 @@ class SyntheticAvazu:
         """
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0xA7A2)))
         true_weights, _ = self._ground_truth(rng)
-        vocab_for_calibration = {
+        vocab = {
             fld: self.encoder.vocabulary_indices(fld, _FIELD_CARDINALITIES[fld])
             for fld in AVAZU_FIELDS
         }
-        global_bias = self._calibrate_intercept(rng, true_weights, vocab_for_calibration)
+        global_bias = self._calibrate_intercept(rng, true_weights, vocab)
         if device_biases is None:
             device_biases = rng.normal(0.0, self.device_bias_std, self.n_devices)
         elif len(device_biases) != self.n_devices:
             raise ValueError(
                 f"device_biases must have length {self.n_devices}, got {len(device_biases)}"
             )
+        biases = np.asarray(device_biases, dtype=float)
 
-        vocab = vocab_for_calibration
         sizes = np.maximum(2, rng.poisson(self.records_per_device, self.n_devices))
+        # The test shard comes last and carries no device bias.
+        shard_sizes = np.append(sizes, test_records)
+        features, labels = _draw_shards(
+            rng, shard_sizes, vocab, true_weights, global_bias + np.append(biases, 0.0)
+        )
 
-        devices: dict[str, DeviceDataset] = {}
-        bias_map: dict[str, float] = {}
-        for i in range(self.n_devices):
-            device_id = f"dev-{i:06d}"
-            features = self._draw_features(rng, int(sizes[i]), vocab)
-            labels = self._draw_labels(
-                rng, features, true_weights, global_bias + float(device_biases[i])
-            )
-            devices[device_id] = DeviceDataset(device_id, features, labels)
-            bias_map[device_id] = float(device_biases[i])
-
-        test_features = self._draw_features(rng, test_records, vocab)
-        test_labels = self._draw_labels(rng, test_features, true_weights, global_bias)
-        test = DeviceDataset("test", test_features, test_labels)
+        ends = np.cumsum(shard_sizes).tolist()
+        starts = [0, *ends[:-1]]
+        device_ids = [f"dev-{i:06d}" for i in range(self.n_devices)]
+        devices = {
+            device_id: DeviceDataset(device_id, features[start:end], labels[start:end])
+            for device_id, start, end in zip(device_ids, starts, ends)
+        }
+        test = DeviceDataset("test", features[starts[-1] :], labels[starts[-1] :])
         return FederatedDataset(
             devices=devices,
             test=test,
             feature_dim=self.feature_dim,
-            device_biases=bias_map,
+            device_biases=dict(zip(device_ids, biases.tolist())),
         )
 
     # ------------------------------------------------------------------
@@ -279,7 +350,7 @@ class SyntheticAvazu:
         naive log-odds intercept undershoots skewed targets; bisection on
         a calibration sample fixes the realised rate.
         """
-        features = self._draw_features(rng, n_calibration, vocab)
+        features, _ = _draw_shards(rng, np.array([n_calibration]), vocab, true_weights)
         scores = true_weights[features].sum(axis=1)
         low, high = -15.0, 15.0
         for _ in range(60):
@@ -289,38 +360,6 @@ class SyntheticAvazu:
             else:
                 high = mid
         return (low + high) / 2.0
-
-    def _draw_features(
-        self,
-        rng: np.random.Generator,
-        n_records: int,
-        vocab: dict[str, np.ndarray],
-    ) -> np.ndarray:
-        """Sample hashed feature index rows, Zipf-skewed per field."""
-        columns = []
-        for fld in AVAZU_FIELDS:
-            table = vocab[fld]
-            cardinality = len(table)
-            # Zipf-ish popularity: categorical fields in click logs are
-            # heavily skewed toward a few frequent values.
-            ranks = np.arange(1, cardinality + 1, dtype=float)
-            probs = 1.0 / ranks
-            probs /= probs.sum()
-            ids = rng.choice(cardinality, size=n_records, p=probs)
-            columns.append(table[ids])
-        return np.stack(columns, axis=1).astype(np.int32)
-
-    def _draw_labels(
-        self,
-        rng: np.random.Generator,
-        features: np.ndarray,
-        true_weights: np.ndarray,
-        bias: float,
-    ) -> np.ndarray:
-        """Bernoulli labels from the planted logistic model."""
-        logits = true_weights[features].sum(axis=1) + bias
-        probs = _sigmoid(logits)
-        return (rng.random(len(probs)) < probs).astype(np.int8)
 
 
 def make_federated_ctr_data(

@@ -582,7 +582,8 @@ class ScenarioSpec:
         for index, rule in enumerate(self.alarms):
             if rule.tenant and rule.tenant not in names:
                 raise ValueError(
-                    f"alarm {rule.name!r} watches unknown tenant {rule.tenant!r}"
+                    f"alarms[{index}].tenant: unknown tenant {rule.tenant!r}; "
+                    f"known: {', '.join(names)}"
                 )
             if not signal_exists(rule.signal):
                 raise ValueError(f"alarms[{index}].signal: unknown signal {rule.signal!r}")
@@ -592,14 +593,16 @@ class ScenarioSpec:
                     f"faults[{index}].tenant: unknown tenant {fault.tenant!r}; "
                     f"known: {', '.join(names)}"
                 )
-        for sla in self.slas:
+        for index, sla in enumerate(self.slas):
             if sla.tenant and sla.tenant not in names:
                 raise ValueError(
-                    f"SLA on {sla.metric!r} names unknown tenant {sla.tenant!r}"
+                    f"slas[{index}].tenant: unknown tenant {sla.tenant!r}; "
+                    f"known: {', '.join(names)}"
                 )
         if self.autoscale is not None and self.autoscale.alarm not in alarm_names:
             raise ValueError(
-                f"autoscale policy references unknown alarm {self.autoscale.alarm!r}"
+                f"autoscale.alarm: unknown alarm {self.autoscale.alarm!r}; "
+                f"known: {', '.join(alarm_names) or '(none)'}"
             )
 
     def all_slas(self) -> list[SLASpec]:

@@ -133,11 +133,6 @@ class TestK8sCluster:
         with pytest.raises(RuntimeError):
             cluster.release(group)
 
-    def test_can_allocate_is_side_effect_free(self):
-        cluster = K8sCluster([NodeSpec(4, 8)])
-        assert cluster.can_allocate([ResourceBundle(cpus=4, memory_gb=8)])
-        assert cluster.free_cpus == 4
-
     def test_empty_allocation_rejected(self):
         cluster = K8sCluster([NodeSpec(4, 8)])
         with pytest.raises(ValueError):

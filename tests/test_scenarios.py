@@ -164,6 +164,25 @@ class TestSpecSerialization:
             ScenarioSpec.from_dict(data)
         assert str(excinfo.value) == "alarms[0].signal: unknown signal 'retry_rat_mean'"
 
+    @pytest.mark.parametrize(
+        "path, expected",
+        [
+            (["alarms", 0, "tenant"], "alarms[0].tenant: unknown tenant 'x'; known: steady, crowd"),
+            (["slas", 1, "tenant"], "slas[1].tenant: unknown tenant 'x'; known: steady, crowd"),
+            (["autoscale", "alarm"], "autoscale.alarm: unknown alarm 'x'; known: queue-pressure"),
+        ],
+        ids=["alarm-tenant", "sla-tenant", "autoscale-alarm"],
+    )
+    def test_dangling_cross_reference_rejected_with_its_path(self, path, expected):
+        data = build_scenario("autoscale_flash_crowd", scale=300).to_dict()
+        parent = data
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = "x"
+        with pytest.raises(ValueError) as excinfo:
+            ScenarioSpec.from_dict(data)
+        assert str(excinfo.value) == expected
+
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_library_scenarios_pass_validation(self, name):
         # Building runs every cross-field check: tenants, alarm signals,

@@ -241,6 +241,17 @@ class TestRunProfiler:
         assert "kernel.step_batch" in table
         assert "accounted" in table
 
+    def test_profiled_run_has_data_synthesis_row(self):
+        spec = build_scenario("lossy_uplink", scale=60, seed=1)
+        with RunProfiler() as profiler:
+            report = ScenarioRunner(spec).run()
+        numeric_tasks = sum(
+            report.tenants[tenant.name].submitted for tenant in spec.tenants if tenant.numeric
+        )
+        assert numeric_tasks > 0
+        rows = {row.category: row for row in profiler.rows()}
+        assert rows["data.synthesis"].calls == numeric_tasks
+
     def test_profiled_run_report_identical(self):
         spec = build_scenario("lossy_uplink", scale=60, seed=1)
         plain = ScenarioRunner(spec).run()
